@@ -31,6 +31,7 @@ experiments E1–E9, the scenario measurements — speaks this API.
 """
 
 from repro.api.builder import (
+    ENGINES,
     NetworkLike,
     RunBuilder,
     RunSpec,
@@ -95,4 +96,5 @@ __all__ = [
     "run",
     "sink_from_url",
     "sweep_scenario",
+    "ENGINES",
 ]

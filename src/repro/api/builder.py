@@ -63,12 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - lazy at runtime (scenarios imports us)
 
 #: Accepted ``algorithm`` / ``engine`` values (mirrored by scenario files).
 ALGORITHMS = ("async", "sync")
-ENGINES = ("boundary", "naive", "jit", "batched", "auto")
-
-#: Smallest graph for which ``engine="auto"`` upgrades a single run to the
-#: compiled jit kernel (when numba is importable) — below this, compilation
-#: and block bookkeeping cost more than the plain boundary loop saves.
-AUTO_JIT_MIN_N = 4096
+ENGINES = ("boundary", "naive", "batched", "auto")
 
 #: Accepted ``network`` forms: family name, live network, or factory callable.
 NetworkLike = Union[str, DynamicNetwork, Callable[..., DynamicNetwork]]
@@ -130,7 +125,7 @@ class RunSpec:
             require(
                 not self.observers,
                 "engine='batched' does not support observers; streaming hooks "
-                "need a serial engine (boundary/jit)",
+                "need a serial engine (boundary/naive)",
             )
             require(
                 self.until_ci_width is None,
@@ -186,8 +181,8 @@ def resolve_process(
     if engine == "batched":
         return BatchedRumorSpreading(variant=Variant(variant), faults=faults)
     if engine == "auto":
-        # "auto" resolves per terminal: .collect()/.sweep() pick the batched
-        # path when the workload supports it; everything else means boundary.
+        # The builder routes qualifying "auto" workloads to the batched path
+        # (RunBuilder._batched_network); everything else means boundary.
         engine = "boundary"
     return AsynchronousRumorSpreading(
         variant=Variant(variant), engine=engine, faults=faults
@@ -228,15 +223,13 @@ class RunBuilder:
         """Select the asynchronous engine.
 
         ``"boundary"`` (exact cut race, default), ``"naive"`` (clock-tick
-        reference), ``"jit"`` (boundary race through the optional
-        numba-compiled kernel, numpy fallback when numba is absent),
-        ``"batched"`` (all trials vectorised in one ``(trials, n)`` sweep;
-        static networks only, no observers or adaptive trials; ``workers``
-        shards the trial axis into per-worker sub-batches with bit-identical
-        results), or ``"auto"`` (``.collect()``/``.sweep()`` pick the
-        batched path when the workload supports it, boundary otherwise;
-        ``.once()`` picks the jit kernel for large graphs when numba is
-        importable — see :data:`AUTO_JIT_MIN_N`).
+        reference), ``"batched"`` (clique closed form or first-passage
+        percolation over all trials at once; static networks only, no
+        observers or adaptive trials; ``workers`` shards the trial axis into
+        per-worker sub-batches with bit-identical results), or ``"auto"``
+        (one rule for every terminal: batched when the run is asynchronous
+        on a static network with no observer, adaptive stop rule or — for
+        ``.once()`` — recorder; boundary otherwise).
         """
         return self._replace(engine=name)
 
@@ -360,37 +353,47 @@ class RunBuilder:
             return spec.runner
         return resolve_process(spec.algorithm, spec.variant, spec.engine, spec.faults).run
 
-    def _once_runner(self, network: DynamicNetwork) -> Callable:
-        """Engine resolution for :meth:`once`: ``auto`` upgrades huge single runs.
+    def _batched_network(
+        self, build: Callable[[], DynamicNetwork], recorder=None
+    ) -> Optional[DynamicNetwork]:
+        """The one rule, shared by every terminal, for taking the batched path.
 
-        A single trial cannot amortise the batched path, so ``auto`` here
-        means: the compiled jit kernel when numba is importable and the graph
-        is at least :data:`AUTO_JIT_MIN_N` nodes (where compilation pays for
-        itself), the plain boundary engine otherwise.  ``HAVE_NUMBA`` is read
-        at call time so the rule is testable without numba installed.
+        ``engine="batched"`` takes it (a non-static network raises) and
+        ``engine="auto"`` takes it when the run is asynchronous, has no
+        observer, adaptive stop rule, custom runner, raw run kwargs or
+        recorder, and the network is static.  Returns the network to batch
+        over, or ``None`` for the serial engine; ``build`` is called only
+        once the spec-level checks pass.
         """
         spec = self._spec
-        if spec.runner is None and spec.engine == "auto" and spec.algorithm == "async":
-            from repro.core import kernels
+        if not (
+            spec.engine in ("batched", "auto")
+            and spec.algorithm == "async"
+            and spec.runner is None
+            and not spec.run_kwargs
+            and not spec.observers
+            and spec.until_ci_width is None
+            and recorder is None
+        ):
+            return None
+        network = build()
+        reason = batched_supported(network)
+        if spec.engine == "batched":
+            require(reason is None, reason or "")
+        return network if reason is None else None
 
-            engine = (
-                "jit"
-                if kernels.HAVE_NUMBA and network.n >= AUTO_JIT_MIN_N
-                else "boundary"
-            )
-            return resolve_process(spec.algorithm, spec.variant, engine, spec.faults).run
-        return self._runner()
+    def _batched_process(self) -> BatchedRumorSpreading:
+        return BatchedRumorSpreading(variant=Variant(self._spec.variant), faults=self._spec.faults)
 
     def resolved_engine(self) -> str:
-        """The concrete engine :meth:`collect` would execute (``auto`` resolved).
+        """The concrete engine the terminals execute (``auto`` resolved).
 
         Useful for profiling and logging: ``engine="auto"`` resolves to
         ``"batched"`` when the workload qualifies for the vectorised path
-        (asynchronous algorithm, static network, no streaming hooks, no
-        adaptive stop rule) and to the ``execute_trials`` fallback
-        (``"boundary"``) otherwise.  Synchronous runs report ``"sync"``;
-        explicit engines report themselves.  Building the probe network is
-        the only side effect.
+        (see :meth:`_batched_network`; a recorder passed to :meth:`once`
+        additionally forces ``"boundary"``) and to ``"boundary"`` otherwise.
+        Synchronous runs report ``"sync"``; explicit engines report
+        themselves.  Building the probe network is the only side effect.
         """
         spec = self._spec
         spec.validate()
@@ -398,15 +401,7 @@ class RunBuilder:
             return "sync"
         if spec.engine != "auto":
             return spec.engine
-        if (
-            spec.runner is None
-            and not spec.run_kwargs
-            and self._observer() is None
-            and self._stop_rule() is None
-            and batched_supported(self._factory()()) is None
-        ):
-            return "batched"
-        return "boundary"
+        return "batched" if self._batched_network(self._factory()) is not None else "boundary"
 
     def _factory(self, value: Any = None, sweep_name: str = "n") -> Callable[[], DynamicNetwork]:
         spec = self._spec
@@ -450,40 +445,24 @@ class RunBuilder:
     def _execute(self, factory, rng, source, observer, stop_rule, report=None):
         """Run one point's trials: the batched fast path or the trial loop.
 
-        ``engine="batched"`` demands the vectorised path (raising when the
-        network is not static); ``engine="auto"`` takes it opportunistically
-        — static network, no streaming hooks, no stop rule — and otherwise
-        falls back to the boundary engine via :func:`execute_trials`.
+        :meth:`_batched_network` decides; otherwise the trials run serially
+        per trial via :func:`execute_trials`.
         """
         spec = self._spec
-        if (
-            spec.engine in ("batched", "auto")
-            and spec.algorithm == "async"
-            and spec.runner is None
-            and not spec.run_kwargs
-            and observer is None
-            and stop_rule is None
-        ):
-            network = factory()
-            reason = batched_supported(network)
-            if spec.engine == "batched":
-                require(reason is None, reason or "")
-            if reason is None:
-                return execute_batched(
-                    process=BatchedRumorSpreading(
-                        variant=Variant(spec.variant),
-                        faults=spec.faults,
-                    ),
-                    network=network,
-                    trials=self._trial_budget(),
-                    rng=rng,
-                    source=source,
-                    max_time=spec.max_time,
-                    keep_results=spec.keep_results,
-                    workers=spec.workers,
-                    policy=spec.retry,
-                    report=report,
-                )
+        network = self._batched_network(factory)
+        if network is not None:
+            return execute_batched(
+                process=self._batched_process(),
+                network=network,
+                trials=self._trial_budget(),
+                rng=rng,
+                source=source,
+                max_time=spec.max_time,
+                keep_results=spec.keep_results,
+                workers=spec.workers,
+                policy=spec.retry,
+                report=report,
+            )
         return execute_trials(
             runner=self._runner(),
             factory=factory,
@@ -518,7 +497,11 @@ class RunBuilder:
             kwargs["recorder"] = recorder
         network = self._factory()()
         gen = ensure_rng(spec.seed if rng is None else rng)
-        result = self._once_runner(network)(network, source=spec.source, rng=gen, **kwargs)
+        if self._batched_network(lambda: network, recorder) is not None:
+            runner = self._batched_process().run
+        else:
+            runner = self._runner()
+        result = runner(network, source=spec.source, rng=gen, **kwargs)
         if observer is not None:
             observer.on_trial(0, result)
         return RunResult(spec=spec, spread=result)

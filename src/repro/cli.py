@@ -162,12 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="contact variant for the asynchronous algorithm",
     )
     simulate_parser.add_argument(
-        "--engine", choices=("boundary", "naive", "jit", "batched", "auto"),
-        default="boundary",
+        "--engine", choices=api.ENGINES, default="boundary",
         help="asynchronous engine: exact cut-race (boundary), clock-tick "
-        "reference (naive), optional-numba kernel (jit), trial-batched "
-        "vectorised sweep (batched; static networks only), or automatic "
-        "selection (auto)",
+        "reference (naive), trial-batched clique closed form or first-passage "
+        "percolation (batched; static networks only), or batched whenever the "
+        "run qualifies and boundary otherwise (auto)",
     )
     simulate_parser.add_argument(
         "--workers", type=int, default=1,
@@ -491,7 +490,7 @@ def _command_simulate(args, out) -> int:
             profiler.disable()
             try:
                 # Name the engine that actually executed (engine="auto"
-                # resolves per workload), so profiles of batched/jit runs are
+                # resolves per workload), so profiles of batched runs are
                 # attributed to the right hot path.
                 resolved = _simulate_builder(args).resolved_engine()
             except ValueError:

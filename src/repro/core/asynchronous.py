@@ -97,17 +97,14 @@ class AsynchronousRumorSpreading:
     variant:
         Which contacts carry the rumor (:class:`repro.core.variants.Variant`).
     engine:
-        ``"boundary"`` (exact cut-race simulation, default), ``"naive"``
-        (every clock tick, reference implementation) or ``"jit"`` (the
-        boundary race with its per-event loop extracted into the
-        :mod:`repro.core.kernels` segment kernel, numba-compiled when numba
-        is importable and running the identical function body under CPython
-        otherwise).
+        ``"boundary"`` (exact cut-race simulation, default) or ``"naive"``
+        (every clock tick, reference implementation).  Trial-batched and
+        first-passage execution live in :mod:`repro.core.batched`.
     faults:
         Optional :class:`repro.core.faults.FaultModel`.
     """
 
-    ENGINES = ("boundary", "naive", "jit")
+    ENGINES = ("boundary", "naive")
 
     def __init__(
         self,
@@ -162,8 +159,6 @@ class AsynchronousRumorSpreading:
         require_positive(limit, "max_time")
         if self.engine == "boundary":
             return self._run_boundary(network, source, gen, limit, recorder, observer)
-        if self.engine == "jit":
-            return self._run_jit(network, source, gen, limit, recorder, observer)
         return self._run_naive(network, source, gen, limit, recorder, observer)
 
     # ------------------------------------------------------------------
@@ -309,146 +304,6 @@ class AsynchronousRumorSpreading:
                         observer.on_snapshot(step, snapshot, len(informed_labels))
                     if snapshot is not previous_snapshot:
                         rates, total_rate = self._build_rates(snapshot, informed, down)
-
-        completed = remaining == 0
-        informed_ids = np.nonzero(informed)[0]
-        informed_times = {
-            nodes[int(i)]: float(informed_time[int(i)]) for i in informed_ids
-        }
-        spread_time = max(informed_times.values()) if completed else math.inf
-        result = SpreadResult(
-            spread_time=spread_time,
-            informed_times=informed_times,
-            completed=completed,
-            n=n,
-            steps_used=step + 1,
-            source=source,
-            synchronous=False,
-            events=events,
-        )
-        if observer is not None:
-            observer.on_complete(result)
-        return result
-
-    # ------------------------------------------------------------------
-    # jit engine (boundary race through the extracted segment kernel)
-    # ------------------------------------------------------------------
-
-    def _run_jit(
-        self,
-        network: DynamicNetwork,
-        source: Hashable,
-        gen: np.random.Generator,
-        limit: float,
-        recorder: Optional[SnapshotRecorder],
-        observer: Optional["RunObserver"] = None,
-    ) -> SpreadResult:
-        """The boundary race, advanced one segment at a time by the kernel.
-
-        Identical simulation semantics to :meth:`_run_boundary` (it reuses
-        ``_build_rates`` for the O(n + m) rebuilds at snapshot boundaries and
-        crashes), but the per-event loop runs inside
-        :func:`repro.core.kernels.boundary_segment`.  Randomness is pre-drawn
-        per segment in blocks sized by the remaining uninformed count, so the
-        generator stream — and therefore the result — is bit-identical
-        whether or not numba compiled the kernel.  Observer hooks are
-        *replayed* from the kernel's event log after each segment, preserving
-        the boundary engine's hook ordering.
-        """
-        from repro.core.kernels import boundary_segment
-
-        network.reset(gen)
-        nodes = network.nodes
-        n = network.n
-        index_of = {label: i for i, label in enumerate(nodes)}
-        source_id = index_of[source]
-        a, b = self.variant.rate_coefficients()
-        delivery = self.faults.delivery_probability()
-
-        informed = np.zeros(n, dtype=bool)
-        informed[source_id] = True
-        informed_time = np.full(n, np.nan)
-        informed_time[source_id] = 0.0
-        informed_labels = {source}
-        down = _initial_down_mask(self.faults, nodes)
-        pending_crashes = _pending_crashes(self.faults, index_of)
-        remaining = int(np.count_nonzero(~informed & ~down))
-
-        tau = 0.0
-        step = 0
-        events = 0
-        snapshot = network.snapshot_for_step(step, informed_labels)
-        if recorder is not None:
-            recorder.record(network, step, snapshot, len(informed_labels))
-        if observer is not None:
-            observer.on_snapshot(step, snapshot, len(informed_labels))
-        rates, total_rate = self._build_rates(snapshot, informed, down)
-        event_nodes = np.empty(n, dtype=np.int64)
-        event_times = np.empty(n, dtype=np.float64)
-
-        while remaining > 0 and tau < limit:
-            next_boundary = float(step + 1)
-            next_crash_time = pending_crashes[0][0] if pending_crashes else math.inf
-            horizon = min(next_boundary, next_crash_time, limit)
-
-            # Deterministically sized randomness block: at most `remaining`
-            # events in this segment (one exponential + one uniform each) plus
-            # one final horizon-crossing exponential.
-            exponentials = gen.standard_exponential(remaining + 1)
-            uniforms = gen.random(remaining)
-            segment_events, tau, total_rate, remaining = boundary_segment(
-                snapshot.indptr,
-                snapshot.indices,
-                snapshot.inverse_degrees,
-                rates,
-                informed,
-                down,
-                informed_time,
-                event_nodes,
-                event_times,
-                exponentials,
-                uniforms,
-                tau,
-                total_rate,
-                horizon,
-                remaining,
-                float(a),
-                float(b),
-                float(delivery),
-            )
-            for i in range(segment_events):
-                informed_labels.add(nodes[int(event_nodes[i])])
-            if observer is not None:
-                base = len(informed_labels) - segment_events
-                for i in range(segment_events):
-                    observer.on_event(
-                        float(event_times[i]), nodes[int(event_nodes[i])], base + i + 1
-                    )
-            events += segment_events
-            if remaining == 0:
-                break
-
-            # The kernel stopped at the horizon: crash, snapshot step or limit.
-            if horizon >= limit:
-                tau = limit
-                break
-            if pending_crashes and math.isclose(horizon, next_crash_time):
-                _, crashed_id = pending_crashes.pop(0)
-                if not down[crashed_id]:
-                    down[crashed_id] = True
-                    if not informed[crashed_id]:
-                        remaining -= 1
-                rates, total_rate = self._build_rates(snapshot, informed, down)
-            else:
-                step += 1
-                previous_snapshot = snapshot
-                snapshot = network.snapshot_for_step(step, informed_labels)
-                if recorder is not None:
-                    recorder.record(network, step, snapshot, len(informed_labels))
-                if observer is not None:
-                    observer.on_snapshot(step, snapshot, len(informed_labels))
-                if snapshot is not previous_snapshot:
-                    rates, total_rate = self._build_rates(snapshot, informed, down)
 
         completed = remaining == 0
         informed_ids = np.nonzero(informed)[0]

@@ -1,12 +1,11 @@
 """Trial-batched asynchronous engine: many boundary races in one numpy sweep.
 
 ``engine="batched"`` runs ``T`` independent trials of the boundary race of
-Definition 1 *simultaneously*, stacking the per-trial state — informed
-bitmask, informing-rate array, clock — as 2-D ``(trials, n)`` arrays so the
-per-event work is a handful of large vectorised operations instead of ``T``
-Python event loops.  It produces the same :class:`repro.core.state.SpreadResult`
-objects as :class:`repro.core.asynchronous.AsynchronousRumorSpreading` and
-matches the boundary engine *in distribution* (individual trial results
+Definition 1 *simultaneously*, as a handful of ``(trials, n)`` or
+``(trials, m)`` array operations instead of ``T`` Python event loops.  It
+produces the same :class:`repro.core.state.SpreadResult` objects as
+:class:`repro.core.asynchronous.AsynchronousRumorSpreading` and matches the
+boundary engine *in distribution* (individual trial results
 differ from the serial engines for a fixed seed while every statistic
 agrees; the test-suite checks agreement including drop and crash faults).
 
@@ -19,35 +18,25 @@ contiguous sharding of sub-batches fed the same spawned generators (see
 ``repro.api._exec.execute_batched``), produces bit-identical results, which
 is what lets ``workers=k`` shard the trial axis across the fork pool.
 
-Three execution paths, chosen per batch by the ``method`` knob:
+Two execution paths, chosen per batch by the input alone:
 
-**Complete-graph closed form** (``method="auto"`` on cliques).  On a clique
-every informed/uninformed pair contributes the same rate
-``delivery·(a+b)/(n-1)``, so with ``m`` eligible (up, uninformed) nodes the
-wait before the ``j``-th informing event is ``Exp(λ_j)`` with
-``λ_j = c·j·(m-j+1)`` and the informing order is a uniform random
-permutation of the eligible nodes.  Used whenever the snapshot is complete,
-the source is up and no crash is *scheduled* (initially-down nodes are fine —
-they only shrink ``m``; degrees still count them).
+**Complete-graph closed form** (complete snapshots).  On a clique every
+informed/uninformed pair contributes the same rate ``delivery·(a+b)/(n-1)``,
+so with ``m`` eligible (up, uninformed) nodes the wait before the ``j``-th
+informing event is ``Exp(λ_j)`` with ``λ_j = c·j·(m-j+1)`` and the informing
+order is a uniform random permutation of the eligible nodes.  Used whenever
+the snapshot is complete, the source is up and no crash is *scheduled*
+(initially-down nodes are fine — they only shrink ``m``; degrees still count
+them).
 
-**First-passage percolation** (``method="auto"`` elsewhere, or
-``method="percolation"``).  The race is *exactly* equivalent in distribution
-to single-source shortest paths under independent ``Exp(rate)`` delays on the
-directed adjacency entries — see :mod:`repro.core.percolation` for the
-argument, including why drop faults (rate scaling), scheduled crashes
-(per-entry clips) and the time horizon (monotone censoring) all stay exact.
+**First-passage percolation** (every other case).  The race is *exactly*
+equivalent in distribution to single-source shortest paths under
+independent ``Exp(rate)`` delays on the directed adjacency entries — see
+:mod:`repro.core.percolation` for the argument, including why drop faults
+(rate scaling), scheduled crashes (per-entry clips) and the time horizon
+(monotone censoring) all stay exact.
 One ``(T, m)`` exponential draw plus a vectorised frontier relaxation
-replaces the entire event loop; this is the path that closes the
-general-graph batch gap (~30× over the event-lockstep path at n=10⁴).
-
-**Event lockstep race** (``method="race"``).  The literal batched race:
-advance every active trial one event per pass with a √n-blocked two-level
-weighted draw over each trial's rate row.  The per-trial segment loop is a
-single-source kernel in :mod:`repro.core.kernels` — numba-compiled scalar
-loop when numba is importable, bit-identical numpy lockstep otherwise — with
-all randomness pre-drawn per trial per segment.  Kept as the structural
-cross-check of the percolation path (the test-suite pits the two against
-each other distributionally) and for the compiled-kernel speed path.
+replaces the entire event loop.
 
 Because all trials share one network realisation, the engine requires a
 :class:`repro.dynamics.sequences.StaticDynamicNetwork` — snapshot changes at
@@ -63,7 +52,6 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.asynchronous import (
     _initial_down_mask,
     _pending_crashes,
@@ -78,13 +66,6 @@ from repro.dynamics.sequences import StaticDynamicNetwork
 from repro.graphs.csr import CsrSnapshot
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import require, require_node_count, require_positive
-
-#: Recompute per-trial totals and block partial sums every this many of the
-#: trial's own events to keep incremental floating-point drift bounded.
-REFRESH_INTERVAL = 64
-
-#: Engine-internal execution strategies for the general static path.
-BATCH_METHODS = ("auto", "percolation", "race")
 
 
 def batched_supported(network: DynamicNetwork) -> Optional[str]:
@@ -121,27 +102,16 @@ class BatchedRumorSpreading:
     faults:
         Optional :class:`repro.core.faults.FaultModel`.  Message drops scale
         every rate; initially-crashed nodes are masked out; scheduled crashes
-        split the batch race into segments (or clip percolation entries).
-    method:
-        General-path strategy: ``"auto"`` (clique closed form where it
-        applies, first-passage percolation elsewhere), ``"percolation"``
-        (force the first-passage solver), or ``"race"`` (force the
-        event-lockstep kernel path).
+        clip percolation entries.
     """
 
     def __init__(
         self,
         variant: Variant = Variant.PUSH_PULL,
         faults: Optional[FaultModel] = None,
-        method: str = "auto",
     ):
-        require(
-            method in BATCH_METHODS,
-            f"method must be one of {BATCH_METHODS}, got {method!r}",
-        )
         self.variant = variant
         self.faults = faults if faults is not None else FaultModel.none()
-        self.method = method
 
     # ------------------------------------------------------------------
     # public API
@@ -165,7 +135,7 @@ class BatchedRumorSpreading:
         require(
             recorder is None and observer is None,
             "engine='batched' does not support recorders or observers; "
-            "use engine='boundary' (or 'jit') for streaming hooks",
+            "use engine='boundary' for streaming hooks",
         )
         return self.run_batch(network, 1, source=source, rng=rng, max_time=max_time)[0]
 
@@ -216,17 +186,8 @@ class BatchedRumorSpreading:
 
         n = snapshot.n
         is_complete = snapshot.indices.size == n * (n - 1)
-        if (
-            self.method == "auto"
-            and is_complete
-            and not pending
-            and not down[source_id]
-        ):
+        if is_complete and not pending and not down[source_id]:
             return self._run_clique_batch(snapshot, nodes, source_id, down, gens, limit)
-        if self.method == "race":
-            return self._run_race_batch(
-                snapshot, nodes, source_id, down, pending, gens, limit
-            )
         return self._run_percolation_batch(
             snapshot, nodes, source_id, down, pending, gens, limit
         )
@@ -357,233 +318,6 @@ class BatchedRumorSpreading:
         return results
 
     # ------------------------------------------------------------------
-    # event-lockstep race path (kernel-backed cross-check)
-    # ------------------------------------------------------------------
-
-    def _batch_rates(
-        self, snapshot: CsrSnapshot, informed: np.ndarray, down: np.ndarray
-    ) -> np.ndarray:
-        """``(T, n)`` informing rates — the vectorised rebuild over all trials.
-
-        The batched analogue of ``AsynchronousRumorSpreading._build_rates``:
-        an adjacency entry ``(v, u)`` contributes ``a/d_u + b/d_v`` to
-        ``rates[t, v]`` exactly when, in trial ``t``, ``u`` is informed-and-up
-        and ``v`` is uninformed-and-up.  The per-owner reduction uses
-        ``np.add.reduceat`` over the CSR row boundaries — a sequential
-        left-to-right reduction, bit-identical to the compiled
-        ``kernels.batched_rebuild`` (its skipped non-crossing entries are
-        exact ``+ 0.0`` no-ops here).
-        """
-        T = informed.shape[0]
-        n = snapshot.n
-        edges = snapshot.indices
-        if edges.size == 0:
-            return np.zeros((T, n))
-        owner = snapshot.row_owner
-        up = ~down
-        a, b = self.variant.rate_coefficients()
-        inv = snapshot.inverse_degrees
-        crossing = (
-            informed[:, edges]
-            & up[edges][None, :]
-            & ~informed[:, owner]
-            & up[owner][None, :]
-        )
-        contribution = (a * inv[edges] + b * inv[owner])[None, :] * crossing
-        delivery = self.faults.delivery_probability()
-        if delivery != 1.0:
-            contribution *= delivery
-        starts = np.minimum(snapshot.indptr[:-1], edges.size - 1)
-        rates = np.add.reduceat(contribution, starts, axis=1)
-        empty = snapshot.indptr[:-1] == snapshot.indptr[1:]
-        if empty.any():
-            # reduceat yields the element at a repeated index, not a zero sum.
-            rates[:, empty] = 0.0
-        return np.ascontiguousarray(rates)
-
-    def _rebuild_rates(
-        self, snapshot: CsrSnapshot, informed: np.ndarray, down: np.ndarray
-    ) -> np.ndarray:
-        """Crash-boundary rebuild: compiled kernel when available, else reduceat."""
-        if kernels.HAVE_NUMBA:
-            a, b = self.variant.rate_coefficients()
-            out = np.empty((informed.shape[0], snapshot.n))
-            kernels.batched_rebuild(
-                snapshot.indptr,
-                snapshot.indices,
-                snapshot.inverse_degrees,
-                informed,
-                down,
-                a,
-                b,
-                self.faults.delivery_probability(),
-                out,
-            )
-            return out
-        return self._batch_rates(snapshot, informed, down)
-
-    def _run_race_batch(
-        self,
-        snapshot: CsrSnapshot,
-        nodes: Tuple[Hashable, ...],
-        source_id: int,
-        down: np.ndarray,
-        pending: List[Tuple[float, int]],
-        gens: List[np.random.Generator],
-        limit: float,
-    ) -> List[SpreadResult]:
-        n = snapshot.n
-        T = len(gens)
-        a, b = self.variant.rate_coefficients()
-        delivery = self.faults.delivery_probability()
-        inv = snapshot.inverse_degrees
-        indptr = snapshot.indptr
-        indices = snapshot.indices
-        degrees = snapshot.degrees
-
-        informed = np.zeros((T, n), dtype=bool)
-        informed[:, source_id] = True
-        informed_time = np.full((T, n), np.nan)
-        informed_time[:, source_id] = 0.0
-        down = down.copy()
-        remaining = np.full(
-            T, int(np.count_nonzero(~informed[0] & ~down)), dtype=np.int64
-        )
-        tau = np.zeros(T)
-
-        # √n-blocked rate rows: selection walks nb block sums, then one block.
-        block = max(1, math.isqrt(n))
-        nb = -(-n // block)
-        rates = np.zeros((T, nb * block))
-        rates[:, :n] = self._rebuild_rates(snapshot, informed, down)
-        # cumsum-take-last = the sequential sums the kernels' refresh uses.
-        block_sums = np.ascontiguousarray(
-            np.cumsum(rates.reshape(T, nb, block), axis=2)[:, :, -1]
-        )
-        totals = np.ascontiguousarray(np.cumsum(block_sums, axis=1)[:, -1])
-        since_refresh = np.zeros(T, dtype=np.int64)
-
-        # Scheduled crashes split the race into segments ending at each crash
-        # time (grouped, in case several nodes crash simultaneously) and
-        # finally at the horizon.  Crashes at or beyond the horizon never
-        # happen inside a run, so they neither bound a segment nor excuse the
-        # node from `remaining`.
-        boundaries: List[Tuple[float, List[int]]] = []
-        for time, node_id in pending:
-            if time >= limit:
-                continue
-            if boundaries and math.isclose(boundaries[-1][0], time):
-                boundaries[-1][1].append(node_id)
-            else:
-                boundaries.append((time, [node_id]))
-        boundaries.append((limit, []))
-
-        for seg_end, crashing in boundaries:
-            # Pre-draw each trial's randomness for the whole segment: at most
-            # remaining+2 exponentials and remaining+1 uniforms (events, one
-            # drift clamp, the final over-the-horizon wait).  Sizes depend
-            # only on the trial's own state, so sharded sub-batches draw the
-            # same per-trial sequences.
-            caps_e = remaining + 2
-            caps_u = remaining + 1
-            exponentials = np.zeros((T, int(caps_e.max())))
-            uniforms = np.zeros((T, int(caps_u.max())))
-            for t, gen in enumerate(gens):
-                exponentials[t, : caps_e[t]] = gen.standard_exponential(int(caps_e[t]))
-                uniforms[t, : caps_u[t]] = gen.random(int(caps_u[t]))
-
-            if kernels.HAVE_NUMBA:
-                fstate = np.empty(2)
-                istate = np.empty(2, dtype=np.int64)
-                for t in range(T):
-                    fstate[0] = tau[t]
-                    fstate[1] = totals[t]
-                    istate[0] = remaining[t]
-                    istate[1] = since_refresh[t]
-                    kernels.batched_trial_segment(
-                        indptr,
-                        indices,
-                        inv,
-                        rates[t],
-                        block_sums[t],
-                        informed[t],
-                        down,
-                        informed_time[t],
-                        exponentials[t],
-                        uniforms[t],
-                        fstate,
-                        istate,
-                        float(seg_end),
-                        a,
-                        b,
-                        delivery,
-                        block,
-                        nb,
-                        n,
-                        REFRESH_INTERVAL,
-                    )
-                    tau[t] = fstate[0]
-                    totals[t] = fstate[1]
-                    remaining[t] = istate[0]
-                    since_refresh[t] = istate[1]
-            else:
-                kernels.batched_segment_fallback(
-                    indptr,
-                    indices,
-                    inv,
-                    degrees,
-                    rates,
-                    block_sums,
-                    totals,
-                    informed,
-                    down,
-                    informed_time,
-                    tau,
-                    remaining,
-                    since_refresh,
-                    exponentials,
-                    uniforms,
-                    float(seg_end),
-                    a,
-                    b,
-                    delivery,
-                    block,
-                    nb,
-                    n,
-                    REFRESH_INTERVAL,
-                )
-
-            if crashing:
-                fresh = [c for c in crashing if not down[c]]
-                for crashed_id in fresh:
-                    down[crashed_id] = True
-                if fresh:
-                    remaining -= (~informed[:, fresh]).sum(axis=1)
-                    rates[:, :n] = self._rebuild_rates(snapshot, informed, down)
-                    block_sums[:] = np.cumsum(
-                        rates.reshape(T, nb, block), axis=2
-                    )[:, :, -1]
-                    totals[:] = np.cumsum(block_sums, axis=1)[:, -1]
-                    since_refresh[:] = 0
-
-        results = []
-        completed = remaining == 0
-        for t in range(T):
-            ids = np.nonzero(informed[t])[0]
-            ids = ids[ids != source_id]
-            results.append(
-                self._build_result(
-                    nodes,
-                    source_id,
-                    ids,
-                    informed_time[t, ids],
-                    bool(completed[t]),
-                    limit,
-                )
-            )
-        return results
-
-    # ------------------------------------------------------------------
     # result construction
     # ------------------------------------------------------------------
 
@@ -613,8 +347,6 @@ class BatchedRumorSpreading:
 
 
 __all__ = [
-    "BATCH_METHODS",
     "BatchedRumorSpreading",
     "batched_supported",
-    "REFRESH_INTERVAL",
 ]

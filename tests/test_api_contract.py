@@ -47,6 +47,7 @@ EXPECTED_ALL = [
     "run",
     "sink_from_url",
     "sweep_scenario",
+    "ENGINES",
 ]
 
 #: Frozen parameter lists (names in declaration order) of the entry points.

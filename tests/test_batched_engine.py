@@ -62,6 +62,7 @@ class TestDistributionAgreement:
             ("clique8", lambda: StaticDynamicNetwork(clique(range(8)))),
             ("path6", lambda: StaticDynamicNetwork(path(range(6)))),
             ("star7", lambda: StaticDynamicNetwork(star(0, range(1, 7)))),
+            ("cycle9", lambda: StaticDynamicNetwork(cycle(range(9)))),
         ],
     )
     def test_agrees_on_fault_free_networks(self, name, factory):

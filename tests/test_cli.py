@@ -35,7 +35,7 @@ class TestParser:
         assert args.workers == 4
 
     def test_simulate_new_engines_parse(self):
-        for engine in ("batched", "jit", "auto"):
+        for engine in ("batched", "auto"):
             args = build_parser().parse_args(["simulate", "--engine", engine])
             assert args.engine == engine
 
@@ -45,8 +45,10 @@ class TestParser:
         assert build_parser().parse_args(["simulate"]).profile is False
 
     def test_simulate_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--engine", "telepathy"])
+        # "jit" names an engine that no longer exists.
+        for engine in ("telepathy", "jit"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["simulate", "--engine", engine])
 
     def test_simulate_rejects_unknown_network(self):
         with pytest.raises(SystemExit):
@@ -239,7 +241,7 @@ class TestJsonOutput:
 
     @pytest.mark.parametrize(
         "engine,resolved",
-        [("batched", "batched"), ("jit", "jit"), ("boundary", "boundary"),
+        [("batched", "batched"), ("naive", "naive"), ("boundary", "boundary"),
          ("auto", "batched")],  # auto on a static family takes the batched path
     )
     def test_simulate_profile_names_resolved_engine(self, capsys, engine, resolved):

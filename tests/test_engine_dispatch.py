@@ -12,6 +12,7 @@ from repro import api
 from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.core.batched import BatchedRumorSpreading
 from repro.api.builder import ENGINES, resolve_process
+from repro.dynamics.base import SnapshotRecorder
 from repro.scenarios.scenario import Scenario
 
 
@@ -26,22 +27,24 @@ def terminals(builder):
 
 class TestEngineRegistry:
     def test_engines_tuple(self):
-        assert ENGINES == ("boundary", "naive", "jit", "batched", "auto")
+        assert ENGINES == ("boundary", "naive", "batched", "auto")
 
     def test_resolve_process_maps_every_engine(self):
-        assert isinstance(resolve_process("async", engine="jit"), AsynchronousRumorSpreading)
-        assert resolve_process("async", engine="jit").engine == "jit"
+        assert isinstance(resolve_process("async", engine="naive"), AsynchronousRumorSpreading)
+        assert resolve_process("async", engine="naive").engine == "naive"
         assert isinstance(resolve_process("async", engine="batched"), BatchedRumorSpreading)
         # auto at process level means boundary; terminals do the batched pick.
         assert resolve_process("async", engine="auto").engine == "boundary"
 
     def test_unknown_engine_rejected_everywhere(self):
-        builder = api.run(network="clique", n=8).engine("warp")
-        for name, terminal in terminals(builder).items():
+        # "jit" names an engine that no longer exists.
+        for engine in ("warp", "jit"):
+            builder = api.run(network="clique", n=8).engine(engine)
+            for name, terminal in terminals(builder).items():
+                with pytest.raises(ValueError, match="engine"):
+                    terminal()
             with pytest.raises(ValueError, match="engine"):
-                terminal()
-        with pytest.raises(ValueError, match="engine"):
-            Scenario(label="x", network="clique", params={"n": 8}, engine="warp")
+                Scenario(label="x", network="clique", params={"n": 8}, engine=engine)
 
 
 class TestBatchedValidationParity:
@@ -95,8 +98,8 @@ class TestBatchedValidationParity:
         with pytest.raises(ValueError, match="static"):
             dynamic.bind().collect()
 
-    def test_jit_sync_rejected_from_all_terminals(self):
-        builder = api.run(network="clique", n=8, algorithm="sync").engine("jit")
+    def test_naive_sync_rejected_from_all_terminals(self):
+        builder = api.run(network="clique", n=8, algorithm="sync").engine("naive")
         for name, terminal in terminals(builder).items():
             with pytest.raises(ValueError, match="asynchronous"):
                 terminal()
@@ -112,10 +115,6 @@ class TestEngineExecution:
     def test_batched_once_runs_single_trial(self):
         result = api.run(network="clique", n=16).engine("batched").seed(3).once()
         assert result.spread.completed and result.spread.n == 16
-
-    def test_jit_engine_through_api(self):
-        trial_set = api.run(network="clique", n=16).engine("jit").trials(4).seed(4).collect()
-        assert len(trial_set.spread_times) == 4
 
     def test_auto_uses_batched_on_static_network(self):
         # Identical seeds: the auto path must reproduce the batched path
@@ -150,3 +149,41 @@ class TestEngineExecution:
 
     def test_default_engine_unchanged(self):
         assert api.run(network="clique", n=8).spec.engine == "boundary"
+
+
+
+def assert_same_run(left, right):
+    assert left.spread.informed_times == right.spread.informed_times
+    assert left.spread.spread_time == right.spread.spread_time
+
+
+class TestAutoOnceMatchesItsResolution:
+    """``auto`` ``once()`` runs exactly what ``resolved_engine()`` names."""
+
+    @staticmethod
+    def builder(engine, network):
+        return api.run(network=network, n=12).engine(engine).seed(11)
+
+    @pytest.mark.parametrize("network", ["clique", "cycle"])
+    def test_static_family_equals_batched(self, network):
+        auto = self.builder("auto", network)
+        assert auto.resolved_engine() == "batched"
+        assert_same_run(auto.once(), self.builder("batched", network).once())
+
+    def test_dynamic_network_equals_boundary(self):
+        auto = self.builder("auto", "dynamic-star")
+        assert auto.resolved_engine() == "boundary"
+        assert_same_run(auto.once(), self.builder("boundary", "dynamic-star").once())
+
+    def test_observer_equals_boundary(self):
+        auto = self.builder("auto", "cycle").observe(api.RunObserver())
+        assert auto.resolved_engine() == "boundary"
+        boundary = self.builder("boundary", "cycle").observe(api.RunObserver())
+        assert_same_run(auto.once(), boundary.once())
+
+    def test_recorder_equals_boundary(self):
+        auto = self.builder("auto", "cycle").once(recorder=SnapshotRecorder(mode="cheap"))
+        boundary = self.builder("boundary", "cycle").once(
+            recorder=SnapshotRecorder(mode="cheap")
+        )
+        assert_same_run(auto, boundary)
