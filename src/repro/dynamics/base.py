@@ -224,17 +224,16 @@ class SnapshotRecorder:
         """Record snapshot ``graph`` used at step ``t``.
 
         Accepts either representation a simulator may be driving: a networkx
-        graph or a :class:`CsrSnapshot`.  CSR snapshots are measured with the
-        array-native cheap metrics and only converted to networkx when the
-        "full" mode needs conductance / diligence estimation.
+        graph or a :class:`CsrSnapshot`.  Both modes measure CSR snapshots on
+        their arrays; only "full" mode estimates on graphs too large for exact
+        enumeration convert to networkx.
         """
         snapshot = graph if isinstance(graph, CsrSnapshot) else None
         metrics: Optional[GraphMetrics] = None
         if self._prefer_known:
             metrics = network.known_step_metrics(t)
         if metrics is None and self._mode == "full":
-            nx_graph = snapshot.to_networkx() if snapshot is not None else graph
-            metrics = measure_graph(nx_graph, sampled_cuts=self._sampled_cuts, rng=self._rng)
+            metrics = measure_graph(graph, sampled_cuts=self._sampled_cuts, rng=self._rng)
         if metrics is None:
             # Cheap record: only the quantities Theorem 1.3 needs.
             if snapshot is not None:

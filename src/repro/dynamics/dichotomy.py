@@ -21,7 +21,7 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Dict, Hashable, Optional, Tuple
 
 import networkx as nx
 
@@ -50,28 +50,29 @@ class CliqueBridgeNetwork(DynamicNetwork):
         require_node_count(n, minimum=4)
         self._clique_size = n
         super().__init__(list(range(1, n + 2)))
-        self._initial = clique_with_pendant(n)
-        self._later = bridged_double_clique(n)
-        self._initial_csr: Optional[CsrSnapshot] = None
-        self._later_csr: Optional[CsrSnapshot] = None
+        # Snapshots keyed by (t > 0, as CSR), built on first use and reused,
+        # so runs that only read CSR never build the networkx twins.
+        self._stages: Dict[Tuple[bool, bool], object] = {}
 
     def default_source(self) -> Hashable:
         """The pendant node ``n + 1`` (the square node of Figure 1(a))."""
         return self._clique_size + 1
 
+    def _stage(self, t: int, csr: bool):
+        key = (t > 0, csr)
+        if key not in self._stages:
+            builders = (
+                (clique_with_pendant, clique_with_pendant_csr),
+                (bridged_double_clique, bridged_double_clique_csr),
+            )
+            self._stages[key] = builders[t > 0][csr](self._clique_size)
+        return self._stages[key]
+
     def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
-        return self._initial if t == 0 else self._later
+        return self._stage(t, csr=False)
 
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
-        # Both snapshots are clique assemblies with an obvious array form;
-        # built lazily once, then reused so engines skip rate rebuilds.
-        if t == 0:
-            if self._initial_csr is None:
-                self._initial_csr = clique_with_pendant_csr(self._clique_size)
-            return self._initial_csr
-        if self._later_csr is None:
-            self._later_csr = bridged_double_clique_csr(self._clique_size)
-        return self._later_csr
+        return self._stage(t, csr=True)
 
     def known_step_metrics(self, t: int) -> Optional[GraphMetrics]:
         n = self._clique_size

@@ -20,7 +20,7 @@ import networkx as nx
 
 from repro.dynamics.base import DynamicNetwork
 from repro.graphs.csr import CsrSnapshot
-from repro.graphs.metrics import GraphMetrics, measure_graph
+from repro.graphs.metrics import EXACT_ENUMERATION_LIMIT, GraphMetrics, measure_graph
 from repro.utils.validation import require
 
 
@@ -52,7 +52,7 @@ class StaticDynamicNetwork(DynamicNetwork):
         self._graph = graph.copy()
         self._snapshot = None
         self._metrics = metrics
-        if metrics is None and precompute_metrics and graph.number_of_nodes() <= 18:
+        if metrics is None and precompute_metrics and graph.number_of_nodes() <= EXACT_ENUMERATION_LIMIT:
             self._metrics = measure_graph(graph)
 
     def _build_step(self, t: int, informed: frozenset) -> nx.Graph:

@@ -17,7 +17,6 @@ are assembled:
 
 from __future__ import annotations
 
-import math
 from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx

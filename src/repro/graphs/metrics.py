@@ -11,28 +11,41 @@ The paper's analysis is driven by three quantities of a static snapshot
 * the **absolute diligence**
   ``ρ̄(G) = min_{(u,v)∈E} max(1/d_u, 1/d_v)`` (Section 5).
 
-Both ``Φ`` and ``ρ`` minimise over exponentially many cuts, so exact values are
-only computed for small graphs (by enumerating all cuts).  For larger graphs
-the library offers spectral (Cheeger) bounds for ``Φ`` and a sampled-cut upper
-estimate for ``ρ``; the paper's own constructions expose analytic values via
+Both ``Φ`` and ``ρ`` minimise over exponentially many cuts.  They are exact
+for ``n ≤ EXACT_ENUMERATION_LIMIT``: one scan over the CSR arrays walks the
+bitmasks ``1 … 2ⁿ⁻¹−1`` of the side that leaves the last node out (each cut
+once), ``_CUT_CHUNK`` masks at a time.  A block is a boolean ``(chunk, n)``
+membership matrix; volumes are one product with the degree vector and crossing
+edges are ``bits[:, u] != bits[:, v]``, so transient memory stays near 10 MB
+at ``n = 18``.  The scan is bit-identical to the cut-by-cut definitions:
+volumes are integers below ``2⁵³``, so float64 division rounds like Python's
+``int / int``, and IEEE division is monotone in the denominator, so
+``min_e max(d̄/d_u, d̄/d_v) = d̄ / max_e min(d_u, d_v)``.  Larger graphs get
+spectral (Cheeger) bounds for ``Φ`` and a sampled-cut upper estimate for
+``ρ``; the paper's own constructions expose analytic values via
 :class:`repro.dynamics.base.DynamicNetwork.known_metrics`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
+from repro.graphs.csr import CsrSnapshot
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require, require_node_count
 
 #: Largest node count for which exact (cut-enumeration) metrics are attempted.
 EXACT_ENUMERATION_LIMIT = 18
+
+#: Cut masks per block of the exact scan (bounds its transient memory).
+_CUT_CHUNK = 1 << 14
+
+GraphLike = Union[nx.Graph, CsrSnapshot]
 
 
 # ---------------------------------------------------------------------------
@@ -89,38 +102,62 @@ def conductance_of_cut(graph: nx.Graph, subset: Iterable) -> float:
     return len(cut_edges(graph, subset)) / denom
 
 
-def conductance_exact(graph: nx.Graph) -> float:
+def _cut_minima(snapshot: CsrSnapshot) -> Tuple[float, float]:
+    """Return ``(Φ, ρ)`` of a connected snapshot by one scan over its cuts.
+
+    Every cut of a connected graph has a crossing edge, so each mask bounds
+    both minima; with ``n = 1`` there is no cut and both stay ``inf``.
+    """
+    n, degrees = snapshot.n, snapshot.degrees
+    forward = snapshot.row_owner < snapshot.indices
+    u, v = snapshot.row_owner[forward], snapshot.indices[forward]
+    # Heaviest edge first, so a cut's first crossing edge has its largest w_e.
+    weight = np.minimum(degrees[u], degrees[v])
+    order = np.argsort(-weight, kind="stable")
+    u, v, weight = u[order], v[order], weight[order]
+    total = int(degrees.sum())
+    phi = rho = math.inf
+    stop = 1 << (n - 1)
+    for start in range(1, stop, _CUT_CHUNK):
+        masks = np.arange(start, min(start + _CUT_CHUNK, stop))
+        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+        vol, size = bits @ degrees, bits.sum(1)
+        crossing = bits[:, u] != bits[:, v]
+        side_vol = np.minimum(vol, total - vol)
+        phi = min(phi, float((crossing.sum(1) / side_vol).min()))
+        # d̄ is read on the smaller-volume side; of a balanced cut's two
+        # sides, the one with more nodes has the smaller d̄.
+        smaller = 2 * vol <= total
+        side_size = np.maximum(np.where(smaller, size, 0), np.where(2 * vol >= total, n - size, 0))
+        rho = min(rho, float((side_vol / side_size / weight[crossing.argmax(1)]).min()))
+    return phi, rho
+
+
+def _exact_cut_metrics(graph: GraphLike, caller: str, alternative: str) -> Tuple[float, float]:
+    """Return exact ``(Φ, ρ)`` with the paper's conventions for edge cases."""
+    snapshot = graph if isinstance(graph, CsrSnapshot) else CsrSnapshot.from_networkx(graph)
+    n = snapshot.n
+    require_node_count(n, minimum=1)
+    if not snapshot.is_connected():
+        return 0.0, (1.0 if n == 1 else 0.0)
+    require(
+        n <= EXACT_ENUMERATION_LIMIT,
+        f"{caller} enumerates 2^n cuts and is limited to n <= "
+        f"{EXACT_ENUMERATION_LIMIT}; use {alternative} or the "
+        f"construction's analytic value instead (n = {n})",
+    )
+    phi, rho = _cut_minima(snapshot)
+    return phi, (rho if rho < math.inf else 1.0)
+
+
+def conductance_exact(graph: GraphLike) -> float:
     """Return the exact conductance ``Φ(G)`` by enumerating all cuts.
 
     Only feasible for small graphs (``n ≤ EXACT_ENUMERATION_LIMIT``).  Returns
     ``0.0`` for disconnected or empty graphs, matching the convention used by
     the paper for the ``⌈Φ⌉`` indicator in Theorem 1.3.
     """
-    n = graph.number_of_nodes()
-    require_node_count(n, minimum=1)
-    if graph.number_of_edges() == 0:
-        return 0.0
-    if not nx.is_connected(graph):
-        return 0.0
-    require(
-        n <= EXACT_ENUMERATION_LIMIT,
-        f"conductance_exact enumerates 2^n cuts and is limited to n <= "
-        f"{EXACT_ENUMERATION_LIMIT}; use conductance_spectral_bounds or the "
-        f"construction's analytic value instead (n = {n})",
-    )
-    nodes = list(graph.nodes())
-    best = math.inf
-    # Enumerate subsets containing nodes[0] to avoid double counting S / S̄.
-    rest = nodes[1:]
-    for size in range(0, len(rest) + 1):
-        for combo in itertools.combinations(rest, size):
-            subset = {nodes[0], *combo}
-            if len(subset) == n:
-                continue
-            phi = conductance_of_cut(graph, subset)
-            if phi < best:
-                best = phi
-    return best
+    return _exact_cut_metrics(graph, "conductance_exact", "conductance_spectral_bounds")[0]
 
 
 def conductance_spectral_bounds(graph: nx.Graph) -> Tuple[float, float]:
@@ -180,38 +217,14 @@ def diligence_of_cut(graph: nx.Graph, subset: Iterable) -> float:
     return min(max(d_bar / graph.degree(u), d_bar / graph.degree(v)) for u, v in crossing)
 
 
-def diligence_exact(graph: nx.Graph) -> float:
+def diligence_exact(graph: GraphLike) -> float:
     """Return the exact diligence ``ρ(G)`` by cut enumeration.
 
     Matches the paper's conventions: ``ρ(G) = 0`` when ``G`` is disconnected,
     and for connected graphs ``1/(n-1) ≤ ρ(G) ≤ 1``.  Limited to
     ``n ≤ EXACT_ENUMERATION_LIMIT``.
     """
-    n = graph.number_of_nodes()
-    require_node_count(n, minimum=1)
-    if n == 1:
-        return 1.0
-    if graph.number_of_edges() == 0 or not nx.is_connected(graph):
-        return 0.0
-    require(
-        n <= EXACT_ENUMERATION_LIMIT,
-        f"diligence_exact enumerates 2^n cuts and is limited to n <= "
-        f"{EXACT_ENUMERATION_LIMIT}; use diligence_sampled or the "
-        f"construction's analytic value instead (n = {n})",
-    )
-    total_volume = volume(graph)
-    nodes = list(graph.nodes())
-    best = math.inf
-    for size in range(1, n):
-        for combo in itertools.combinations(nodes, size):
-            subset = set(combo)
-            vol_s = volume(graph, subset)
-            if vol_s == 0 or vol_s > total_volume / 2:
-                continue
-            rho = diligence_of_cut(graph, subset)
-            if rho < best:
-                best = rho
-    return best if best is not math.inf else 1.0
+    return _exact_cut_metrics(graph, "diligence_exact", "diligence_sampled")[1]
 
 
 def diligence_sampled(
@@ -238,16 +251,9 @@ def diligence_sampled(
         nonlocal best
         if not subset or len(subset) == len(nodes):
             return
-        vol_s = volume(graph, subset)
-        complement_vol = total_volume - vol_s
-        if vol_s == 0:
-            return
-        side = subset if vol_s <= complement_vol else set(nodes) - subset
-        if volume(graph, side) == 0:
-            return
-        rho = diligence_of_cut(graph, side)
-        if rho < best:
-            best = rho
+        # Connected, so both sides have positive volume; ρ reads the smaller.
+        side = subset if 2 * volume(graph, subset) <= total_volume else set(nodes) - subset
+        best = min(best, diligence_of_cut(graph, side))
 
     # Single-node cuts: often the minimiser when degrees are skewed.
     for u in nodes:
@@ -341,29 +347,24 @@ class GraphMetrics:
         return 1 if self.connected else 0
 
 
-def measure_graph(graph: nx.Graph, sampled_cuts: int = 200, rng: RngLike = None) -> GraphMetrics:
-    """Compute a :class:`GraphMetrics` bundle for ``graph``.
+def measure_graph(graph: GraphLike, sampled_cuts: int = 200, rng: RngLike = None) -> GraphMetrics:
+    """Compute a :class:`GraphMetrics` bundle for ``graph`` (networkx or CSR).
 
     Uses exact enumeration when the graph is small enough and falls back to
     spectral / sampled estimates otherwise (marking ``exact=False``).
     """
-    n = graph.number_of_nodes()
-    connected = n > 0 and graph.number_of_edges() > 0 and nx.is_connected(graph)
-    if n <= EXACT_ENUMERATION_LIMIT:
-        phi = conductance_exact(graph) if n >= 1 else 0.0
-        rho = diligence_exact(graph)
-        exact = True
+    snapshot = graph if isinstance(graph, CsrSnapshot) else CsrSnapshot.from_networkx(graph)
+    n = snapshot.n
+    require(n >= 1, f"measure_graph needs a graph with at least one node, got n = {n}")
+    exact = n <= EXACT_ENUMERATION_LIMIT
+    if exact:
+        phi, rho = _exact_cut_metrics(snapshot, "measure_graph", "the estimates")
     else:
-        phi = conductance_estimate(graph)
-        rho = diligence_sampled(graph, samples=sampled_cuts, rng=rng)
-        exact = False
+        graph = snapshot.to_networkx()
+        phi, rho = conductance_estimate(graph), diligence_sampled(graph, sampled_cuts, rng)
     return GraphMetrics(
-        conductance=phi,
-        diligence=rho,
-        absolute_diligence=absolute_diligence(graph),
-        connected=connected,
-        n=n,
-        exact=exact,
+        conductance=phi, diligence=rho, absolute_diligence=snapshot.absolute_diligence(),
+        connected=snapshot.is_connected(), n=n, exact=exact,
     )
 
 

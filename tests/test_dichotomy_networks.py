@@ -31,6 +31,20 @@ class TestCliqueBridgeNetwork:
         # All later snapshots are the same object (G(t) = G(1) for t >= 1).
         assert network.graph_for_step(2, frozenset({11})) is graph
 
+    def test_csr_runs_never_build_the_networkx_twins(self, monkeypatch):
+        import repro.dynamics.dichotomy as dichotomy
+
+        def forbidden(n):
+            raise AssertionError("networkx twin built on the CSR path")
+
+        monkeypatch.setattr(dichotomy, "clique_with_pendant", forbidden)
+        monkeypatch.setattr(dichotomy, "bridged_double_clique", forbidden)
+        network = CliqueBridgeNetwork(10)
+        network.reset(0)
+        snapshots = [network.snapshot_for_step(t, frozenset({11})) for t in range(4)]
+        assert snapshots[0].degree(snapshots[0].index_of[11]) == 1
+        assert snapshots[1] is snapshots[2] is snapshots[3]
+
     def test_known_metrics_shapes(self):
         network = CliqueBridgeNetwork(16)
         first = network.known_step_metrics(0)

@@ -213,6 +213,10 @@ class TestMeasureGraph:
         assert metrics.connected
         assert metrics.absolute_diligence == pytest.approx(1 / 29)
 
+    def test_empty_graph_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="measure_graph needs a graph with at least one node"):
+            measure_graph(nx.Graph())
+
     def test_disconnected_indicator_is_zero(self):
         graph = nx.Graph()
         graph.add_edges_from([(0, 1), (2, 3)])

@@ -37,6 +37,14 @@ class TestStaticDynamicNetwork:
         network = StaticDynamicNetwork(clique(range(30)))
         assert network.known_step_metrics(0) is None
 
+    def test_precompute_follows_the_exact_enumeration_limit(self, monkeypatch):
+        from repro.graphs.metrics import EXACT_ENUMERATION_LIMIT
+
+        assert StaticDynamicNetwork(path(range(EXACT_ENUMERATION_LIMIT))).known_step_metrics(0)
+        assert StaticDynamicNetwork(path(range(EXACT_ENUMERATION_LIMIT + 1))).known_step_metrics(0) is None
+        monkeypatch.setattr("repro.dynamics.sequences.EXACT_ENUMERATION_LIMIT", 5)
+        assert StaticDynamicNetwork(star(0, range(1, 6))).known_step_metrics(0) is None
+
     def test_input_graph_is_copied(self):
         graph = path(range(5))
         network = StaticDynamicNetwork(graph)
