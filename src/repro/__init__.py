@@ -30,10 +30,10 @@ Quickstart (the fluent public API)::
 
 The engine classes remain available for direct use::
 
-    from repro import AsynchronousRumorSpreading, StaticDynamicNetwork
-    from repro.graphs import clique
+    from repro import AsynchronousRumorSpreading
+    from repro.dynamics.standard import static_clique_network
 
-    network = StaticDynamicNetwork(clique(range(50)))
+    network = static_clique_network(50)
     result = AsynchronousRumorSpreading().run(network, rng=0)
     print(result.summary())
 """

@@ -41,18 +41,17 @@ class StaticDynamicNetwork(DynamicNetwork):
         metrics: Optional[GraphMetrics] = None,
     ):
         if isinstance(graph, CsrSnapshot):
-            require(graph.n >= 1, "graph must have at least one node")
-            super().__init__(graph.nodes)
             self._graph: Optional[nx.Graph] = None
             self._snapshot: Optional[CsrSnapshot] = graph
-            self._metrics: Optional[GraphMetrics] = metrics
-            return
-        require(graph.number_of_nodes() >= 1, "graph must have at least one node")
-        super().__init__(list(graph.nodes()))
-        self._graph = graph.copy()
-        self._snapshot = None
+            nodes = graph.nodes
+        else:
+            self._graph = graph.copy()
+            self._snapshot = None
+            nodes = list(graph.nodes())
+        require(len(nodes) >= 1, "graph must have at least one node")
+        super().__init__(nodes)
         self._metrics = metrics
-        if metrics is None and precompute_metrics and graph.number_of_nodes() <= EXACT_ENUMERATION_LIMIT:
+        if metrics is None and precompute_metrics and len(nodes) <= EXACT_ENUMERATION_LIMIT:
             self._metrics = measure_graph(graph)
 
     def _build_step(self, t: int, informed: frozenset) -> nx.Graph:

@@ -19,7 +19,13 @@ Values used (all standard):
 from __future__ import annotations
 
 from repro.dynamics.sequences import PeriodicSequenceNetwork, StaticDynamicNetwork
-from repro.graphs.generators import clique, cycle, random_regular_expander, star
+from repro.graphs.generators import (
+    clique,
+    clique_csr,
+    cycle_csr,
+    random_regular_expander,
+    star_csr,
+)
 from repro.graphs.metrics import GraphMetrics
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require, require_node_count
@@ -82,17 +88,17 @@ def regular_metrics(n: int, degree: int, conductance: float = EXPANDER_CONDUCTAN
 
 def static_clique_network(n: int) -> StaticDynamicNetwork:
     """``K_n`` exposed at every step, with analytic metrics attached."""
-    return StaticDynamicNetwork(clique(range(n)), metrics=clique_metrics(n))
+    return StaticDynamicNetwork(clique_csr(range(n)), metrics=clique_metrics(n))
 
 
 def static_star_network(n: int) -> StaticDynamicNetwork:
     """A static star on ``n`` nodes (centre 0), with analytic metrics attached."""
-    return StaticDynamicNetwork(star(0, range(1, n)), metrics=star_metrics(n))
+    return StaticDynamicNetwork(star_csr(0, range(1, n)), metrics=star_metrics(n))
 
 
 def static_cycle_network(n: int) -> StaticDynamicNetwork:
     """A static cycle on ``n`` nodes, with analytic metrics attached."""
-    return StaticDynamicNetwork(cycle(range(n)), metrics=cycle_metrics(n))
+    return StaticDynamicNetwork(cycle_csr(range(n)), metrics=cycle_metrics(n))
 
 
 def alternating_regular_complete_network(

@@ -44,6 +44,7 @@ from repro.graphs.generators import (
     erdos_renyi_csr,
     near_regular_with_hub,
     path,
+    path_csr,
     random_regular_expander,
     star,
     star_csr,
@@ -77,6 +78,7 @@ __all__ = [
     "erdos_renyi_csr",
     "near_regular_with_hub",
     "path",
+    "path_csr",
     "random_regular_expander",
     "star",
     "star_csr",

@@ -20,7 +20,7 @@ static network pays each cost once per object, not once per step.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -265,6 +265,35 @@ class CsrSnapshot:
         return f"CsrSnapshot(n={self.n}, edges={self.edge_count})"
 
 
+GraphLike = Union[nx.Graph, CsrSnapshot]
+
+
+def as_snapshot(graph: GraphLike) -> CsrSnapshot:
+    """Return ``graph`` in CSR form (networkx input is converted, CSR passes through)."""
+    return graph if isinstance(graph, CsrSnapshot) else CsrSnapshot.from_networkx(graph)
+
+
+def normalized_laplacian_lambda2(graph: GraphLike) -> float:
+    """Second-smallest eigenvalue of the normalised Laplacian ``I − D^-½ A D^-½``.
+
+    The dense matrix is built from the edge arrays as
+    ``dh[:, None] * ((D − A) * dh[None, :])`` with ``dh = 1/√d`` (0 for
+    isolated nodes), so every entry is the same single product
+    ``networkx.normalized_laplacian_matrix`` forms and the eigenvalues agree
+    bit for bit, without the scipy dependency networkx needs for it.
+    Requires ``n ≥ 2``.
+    """
+    snapshot = as_snapshot(graph)
+    degrees = snapshot.degrees.astype(np.float64)
+    laplacian = np.diag(degrees)
+    laplacian[snapshot.row_owner, snapshot.indices] -= 1.0
+    dh = np.zeros(snapshot.n)
+    positive = degrees > 0
+    dh[positive] = 1.0 / np.sqrt(degrees[positive])
+    laplacian = dh[:, None] * (laplacian * dh[None, :])
+    return float(np.sort(np.linalg.eigvalsh(laplacian))[1])
+
+
 def concatenated_neighbors(snapshot: CsrSnapshot, ids: np.ndarray) -> np.ndarray:
     """Return the concatenation of the neighbour lists of ``ids`` (vectorised).
 
@@ -281,4 +310,10 @@ def concatenated_neighbors(snapshot: CsrSnapshot, ids: np.ndarray) -> np.ndarray
     return snapshot.indices[gather]
 
 
-__all__ = ["CsrSnapshot", "concatenated_neighbors"]
+__all__ = [
+    "CsrSnapshot",
+    "GraphLike",
+    "as_snapshot",
+    "concatenated_neighbors",
+    "normalized_laplacian_lambda2",
+]

@@ -22,7 +22,7 @@ from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.graphs.csr import CsrSnapshot
+from repro.graphs.csr import CsrSnapshot, GraphLike, as_snapshot, normalized_laplacian_lambda2
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require, require_node_count, require_probability
 
@@ -119,17 +119,34 @@ def complete_bipartite_chain(clusters: Sequence[Sequence[Hashable]]) -> nx.Graph
 # CSR-native constructors (no dict-of-dict adjacency on the hot path)
 # ---------------------------------------------------------------------------
 
+def _positions(count: int) -> np.ndarray:
+    """``0, 1, …, count−1`` as ``int64``, built without ``np.arange``.
+
+    ``np.arange`` releases the GIL even for a handful of elements, and a
+    thread that releases it while another thread is busy waits out a whole
+    5 ms switch interval to get it back.  The service builds networks on one
+    thread while another streams events, so the static builders below, each
+    a few tens of microseconds, avoid it.
+    """
+    return np.fromiter(range(count), dtype=np.int64, count=count)
+
+
 def clique_csr(nodes: Iterable[Hashable]) -> CsrSnapshot:
-    """Return the complete graph on ``nodes`` as a :class:`CsrSnapshot`."""
+    """Return the complete graph on ``nodes`` as a :class:`CsrSnapshot`.
+
+    Row ``i`` lists ``i+1, …, n−1, 0, …, i−1``: exactly the arrays
+    ``CsrSnapshot.from_networkx(clique(nodes))`` produces, so the engines
+    draw the same neighbours from either construction.
+    """
     nodes = list(nodes)
     n = len(nodes)
     require(n >= 1, "clique requires at least one node")
-    if n == 1:
-        return CsrSnapshot(np.zeros(2, dtype=np.int64), np.empty(0, dtype=np.int64), nodes)
-    grid = np.broadcast_to(np.arange(n, dtype=np.int64), (n, n))
-    indices = grid[~np.eye(n, dtype=bool)]
-    indptr = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int64)
-    return CsrSnapshot(indptr, indices, nodes, validate=False)
+    rows = _positions(n + 1)
+    # Row i of 0..n−1 tiled into rows of length n+1 starts at i, so its
+    # columns 1..n−1 are i+1, …, i−1 (mod n): copies only, no arithmetic
+    # (and no GIL release) over the n² entries.
+    indices = np.tile(rows[:n], n + 1).reshape(n, n + 1)[:, 1:n]
+    return CsrSnapshot(rows * (n - 1), indices.reshape(-1), nodes, validate=False)
 
 
 def star_csr(center: Hashable, leaves: Iterable[Hashable]) -> CsrSnapshot:
@@ -138,12 +155,10 @@ def star_csr(center: Hashable, leaves: Iterable[Hashable]) -> CsrSnapshot:
     require(len(leaves) >= 1, "star requires at least one leaf")
     require(center not in leaves, "center must not also be a leaf")
     n = len(leaves) + 1
-    indptr = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.arange(n - 1, 2 * (n - 1) + 1, dtype=np.int64)]
-    )
-    indices = np.concatenate(
-        [np.arange(1, n, dtype=np.int64), np.zeros(n - 1, dtype=np.int64)]
-    )
+    ids = _positions(n)
+    zeros = np.zeros(n - 1, dtype=np.int64)
+    indptr = np.concatenate([zeros[:1], ids + (n - 1)])
+    indices = np.concatenate([ids[1:], zeros])
     return CsrSnapshot(indptr, indices, [center] + leaves, validate=False)
 
 
@@ -174,16 +189,34 @@ def dynamic_star_csr(n_plus_one: int, center: Hashable) -> CsrSnapshot:
 
 
 def cycle_csr(nodes: Iterable[Hashable]) -> CsrSnapshot:
-    """Return the cycle visiting ``nodes`` in order as a :class:`CsrSnapshot`."""
+    """Return the cycle visiting ``nodes`` in order as a :class:`CsrSnapshot`.
+
+    Row ``i`` lists ``(i+1, i−1) mod n``, the order
+    ``CsrSnapshot.from_networkx(cycle(nodes))`` produces.
+    """
     nodes = list(nodes)
     n = len(nodes)
     require(n >= 3, "cycle requires at least three nodes")
-    ids = np.arange(n, dtype=np.int64)
-    prev_ids = (ids - 1) % n
-    next_ids = (ids + 1) % n
-    indices = np.stack([np.minimum(prev_ids, next_ids), np.maximum(prev_ids, next_ids)], axis=1)
-    indptr = np.arange(0, 2 * n + 1, 2, dtype=np.int64)
-    return CsrSnapshot(indptr, indices.reshape(-1), nodes, validate=False)
+    ids = _positions(n + 1)
+    indices = np.stack([(ids[:n] + 1) % n, (ids[:n] - 1) % n], axis=1)
+    return CsrSnapshot(2 * ids, indices.reshape(-1), nodes, validate=False)
+
+
+def path_csr(nodes: Iterable[Hashable]) -> CsrSnapshot:
+    """Return the path visiting ``nodes`` in order as a :class:`CsrSnapshot`.
+
+    Row ``i`` lists ``(i+1, i−1)``, keeping only the ends that exist: the
+    order ``CsrSnapshot.from_networkx(path(nodes))`` produces.
+    """
+    nodes = list(nodes)
+    n = len(nodes)
+    require(n >= 2, "path requires at least two nodes")
+    ids = _positions(n)
+    candidates = np.stack([ids + 1, ids - 1], axis=1)
+    present = (candidates >= 0) & (candidates < n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    return CsrSnapshot(indptr, candidates[present], nodes, validate=False)
 
 
 def _clique_edge_ids(member_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -347,13 +380,12 @@ def pair_to_condensed(u_ids: np.ndarray, v_ids: np.ndarray, n: int) -> np.ndarra
 # Expanders
 # ---------------------------------------------------------------------------
 
-def spectral_gap(graph: nx.Graph) -> float:
+def spectral_gap(graph: GraphLike) -> float:
     """Return the second-smallest eigenvalue of the normalised Laplacian."""
-    if graph.number_of_nodes() < 2 or graph.number_of_edges() == 0:
+    snapshot = as_snapshot(graph)
+    if snapshot.n < 2 or snapshot.edge_count == 0:
         return 0.0
-    laplacian = nx.normalized_laplacian_matrix(graph).toarray()
-    eigenvalues = np.sort(np.linalg.eigvalsh(laplacian))
-    return max(float(eigenvalues[1]), 0.0)
+    return max(normalized_laplacian_lambda2(snapshot), 0.0)
 
 
 def random_regular_expander(
@@ -567,6 +599,7 @@ __all__ = [
     "dynamic_star_csr",
     "erdos_renyi_csr",
     "pair_to_condensed",
+    "path_csr",
     "star_csr",
     "clique_with_pendant",
     "complete_bipartite_chain",

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
 
-from repro.graphs.csr import CsrSnapshot
+from repro.graphs.csr import CsrSnapshot, GraphLike, as_snapshot, normalized_laplacian_lambda2
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require, require_node_count
 
@@ -44,8 +44,6 @@ EXACT_ENUMERATION_LIMIT = 18
 
 #: Cut masks per block of the exact scan (bounds its transient memory).
 _CUT_CHUNK = 1 << 14
-
-GraphLike = Union[nx.Graph, CsrSnapshot]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +133,7 @@ def _cut_minima(snapshot: CsrSnapshot) -> Tuple[float, float]:
 
 def _exact_cut_metrics(graph: GraphLike, caller: str, alternative: str) -> Tuple[float, float]:
     """Return exact ``(Φ, ρ)`` with the paper's conventions for edge cases."""
-    snapshot = graph if isinstance(graph, CsrSnapshot) else CsrSnapshot.from_networkx(graph)
+    snapshot = as_snapshot(graph)
     n = snapshot.n
     require_node_count(n, minimum=1)
     if not snapshot.is_connected():
@@ -160,30 +158,29 @@ def conductance_exact(graph: GraphLike) -> float:
     return _exact_cut_metrics(graph, "conductance_exact", "conductance_spectral_bounds")[0]
 
 
-def conductance_spectral_bounds(graph: nx.Graph) -> Tuple[float, float]:
+def conductance_spectral_bounds(graph: GraphLike) -> Tuple[float, float]:
     """Return Cheeger bounds ``(λ₂/2, sqrt(2 λ₂))`` on the conductance.
 
     ``λ₂`` is the second-smallest eigenvalue of the normalised Laplacian.  The
     true conductance satisfies ``λ₂/2 ≤ Φ(G) ≤ sqrt(2 λ₂)``.  Returns
     ``(0.0, 0.0)`` for disconnected graphs.
     """
-    if graph.number_of_edges() == 0 or not nx.is_connected(graph):
+    snapshot = as_snapshot(graph)
+    if not snapshot.is_connected():
         return (0.0, 0.0)
-    if graph.number_of_nodes() < 3:
+    if snapshot.n < 3:
         # K2: conductance is exactly 1.
         return (1.0, 1.0)
-    laplacian = nx.normalized_laplacian_matrix(graph).toarray()
-    eigenvalues = np.sort(np.linalg.eigvalsh(laplacian))
-    lambda2 = max(float(eigenvalues[1]), 0.0)
+    lambda2 = max(normalized_laplacian_lambda2(snapshot), 0.0)
     return (lambda2 / 2.0, math.sqrt(2.0 * lambda2))
 
 
-def conductance_estimate(graph: nx.Graph) -> float:
+def conductance_estimate(graph: GraphLike) -> float:
     """Best-effort conductance: exact for small graphs, Cheeger midpoint otherwise."""
-    n = graph.number_of_nodes()
-    if n <= EXACT_ENUMERATION_LIMIT:
-        return conductance_exact(graph)
-    low, high = conductance_spectral_bounds(graph)
+    snapshot = as_snapshot(graph)
+    if snapshot.n <= EXACT_ENUMERATION_LIMIT:
+        return conductance_exact(snapshot)
+    low, high = conductance_spectral_bounds(snapshot)
     return math.sqrt(low * high) if low > 0 else 0.0
 
 
@@ -353,15 +350,15 @@ def measure_graph(graph: GraphLike, sampled_cuts: int = 200, rng: RngLike = None
     Uses exact enumeration when the graph is small enough and falls back to
     spectral / sampled estimates otherwise (marking ``exact=False``).
     """
-    snapshot = graph if isinstance(graph, CsrSnapshot) else CsrSnapshot.from_networkx(graph)
+    snapshot = as_snapshot(graph)
     n = snapshot.n
     require(n >= 1, f"measure_graph needs a graph with at least one node, got n = {n}")
     exact = n <= EXACT_ENUMERATION_LIMIT
     if exact:
         phi, rho = _exact_cut_metrics(snapshot, "measure_graph", "the estimates")
     else:
-        graph = snapshot.to_networkx()
-        phi, rho = conductance_estimate(graph), diligence_sampled(graph, sampled_cuts, rng)
+        phi = conductance_estimate(snapshot)
+        rho = diligence_sampled(snapshot.to_networkx(), sampled_cuts, rng)
     return GraphMetrics(
         conductance=phi, diligence=rho, absolute_diligence=snapshot.absolute_diligence(),
         connected=snapshot.is_connected(), n=n, exact=exact,

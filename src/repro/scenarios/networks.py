@@ -37,7 +37,7 @@ from repro.dynamics.standard import (
 )
 from repro.graphs.generators import (
     erdos_renyi_csr,
-    path,
+    path_csr,
     random_regular_expander,
 )
 from repro.utils.rng import RngLike
@@ -172,7 +172,7 @@ register_network(
 )
 register_network(
     "path",
-    lambda n: StaticDynamicNetwork(path(range(n))),
+    lambda n: StaticDynamicNetwork(path_csr(range(n))),
     {"n": REQUIRED},
     description="static path P_n",
 )

@@ -272,9 +272,11 @@ class ScenarioPoint:
         """Build a fresh network for this point (same seed on every call)."""
         require(self.scenario.network is not None,
                 f"scenario {self.scenario.label!r} declares no network family")
-        network_seq, _ = self.seed_sequences()
         family = get_network_family(self.scenario.network)
-        return family.build(rng=np.random.default_rng(network_seq), **self.network_params())
+        # Only random families read the generator; seeding one costs about as
+        # much as a whole CSR-native static build.
+        rng = np.random.default_rng(self.seed_sequences()[0]) if family.uses_rng else None
+        return family.build(rng=rng, **self.network_params())
 
     def spec(self) -> Dict[str, Any]:
         """Canonical plain-dict identity of this point (drives the cache key).

@@ -1,10 +1,15 @@
 """Unit tests for the CSR snapshot layer and the CSR-native generators."""
 
+import importlib.abc
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graphs.csr import CsrSnapshot, concatenated_neighbors
+from repro.api import EventLog
+from repro.graphs import generators
+from repro.graphs.csr import CsrSnapshot, concatenated_neighbors, normalized_laplacian_lambda2
 from repro.graphs.generators import (
     bridged_double_clique,
     bridged_double_clique_csr,
@@ -19,9 +24,14 @@ from repro.graphs.generators import (
     dynamic_star_graph,
     erdos_renyi_csr,
     pair_to_condensed,
+    path,
     star,
     star_csr,
 )
+from repro.graphs.metrics import conductance_spectral_bounds
+from repro.scenarios.measurements import measure_point
+from repro.scenarios.networks import build_network
+from repro.scenarios.scenario import Scenario
 
 
 def edge_set(snapshot: CsrSnapshot):
@@ -30,6 +40,21 @@ def edge_set(snapshot: CsrSnapshot):
 
 def nx_edge_set(graph: nx.Graph):
     return {frozenset(edge) for edge in graph.edges()}
+
+
+def arrays(snapshot: CsrSnapshot):
+    """Everything an engine reads: node order, row bounds and entry order."""
+    return snapshot.nodes, snapshot.indptr.tolist(), snapshot.indices.tolist()
+
+
+#: The static registry families and the networkx graphs they used to be built
+#: from, with each family's minimum ``n``.
+STATIC_TWINS = {
+    "clique": (2, lambda n: clique(range(n))),
+    "star": (2, lambda n: star(0, range(1, n))),
+    "cycle": (3, lambda n: cycle(range(n))),
+    "path": (2, lambda n: path(range(n))),
+}
 
 
 class TestCsrSnapshot:
@@ -90,14 +115,35 @@ class TestCsrSnapshot:
 class TestCsrGenerators:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_clique_csr_matches_networkx(self, n):
-        assert edge_set(clique_csr(range(n))) == nx_edge_set(clique(range(n)))
+        expected = arrays(CsrSnapshot.from_networkx(clique(range(n))))
+        assert arrays(clique_csr(range(n))) == expected
 
     @pytest.mark.parametrize("n", [3, 6, 11])
     def test_cycle_csr_matches_networkx(self, n):
-        assert edge_set(cycle_csr(range(n))) == nx_edge_set(cycle(range(n)))
+        expected = arrays(CsrSnapshot.from_networkx(cycle(range(n))))
+        assert arrays(cycle_csr(range(n))) == expected
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [
+            (family, n)
+            for family, (minimum, _) in STATIC_TWINS.items()
+            for n in [*range(minimum, 13), 24, 94]
+        ],
+    )
+    def test_static_family_snapshot_equals_networkx_twin(self, family, n):
+        # Entry order fixes which neighbour the boundary engine draws and
+        # which delay percolation assigns to each entry, so the CSR-native
+        # build must reproduce the converted twin array for array.
+        network = build_network(family, n=n)
+        network.reset(0)
+        snapshot = network.snapshot_for_step(0, frozenset())
+        twin = STATIC_TWINS[family][1](n)
+        assert arrays(snapshot) == arrays(CsrSnapshot.from_networkx(twin))
 
     def test_star_csr_matches_networkx(self):
-        assert edge_set(star_csr(0, range(1, 8))) == nx_edge_set(star(0, range(1, 8)))
+        expected = arrays(CsrSnapshot.from_networkx(star(0, range(1, 8))))
+        assert arrays(star_csr(0, range(1, 8))) == expected
 
     @pytest.mark.parametrize("center", [0, 3, 7])
     def test_dynamic_star_csr_keeps_label_order(self, center):
@@ -184,3 +230,57 @@ class TestCsrGenerators:
         auto = erdos_renyi_csr(50, 0.1, rng=123, method="auto")
         bernoulli = erdos_renyi_csr(50, 0.1, rng=123, method="bernoulli")
         assert np.array_equal(auto.indices, bernoulli.indices)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("networkx graph built on the CSR-native path")
+
+
+class _BlockScipy(importlib.abc.MetaPathFinder):
+    """Import hook making ``scipy`` unimportable, as in a clean install."""
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+class TestNoNetworkxOrScipy:
+    def test_observed_clique_trials_point_builds_no_networkx_graph(self, monkeypatch):
+        # The service measures trials points with a streaming observer.
+        monkeypatch.setattr(generators, "clique", _forbidden)
+        monkeypatch.setattr(CsrSnapshot, "from_networkx", _forbidden)
+        monkeypatch.setattr(nx.Graph, "__init__", _forbidden)
+        point = Scenario.from_dict({
+            "label": "csr-native", "kind": "trials", "network": "clique",
+            "params": {"n": 24}, "trials": 5, "seed": 0,
+        }).points()[0]
+        log = EventLog()
+        payload = measure_point(point, observer=log)
+        assert payload["summary"]["trials"] == 5
+        assert any(event[0] == "event" for event in log.events)
+
+    def test_expander_and_spectral_bounds_run_without_scipy(self, monkeypatch):
+        for name in [name for name in sys.modules if name.split(".")[0] == "scipy"]:
+            monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setattr(sys, "meta_path", [_BlockScipy(), *sys.meta_path])
+        network = build_network("expander", n=32, degree=4, rng=0)
+        with pytest.raises(ImportError):
+            nx.normalized_laplacian_matrix(network.graph)
+        low, high = conductance_spectral_bounds(network.graph)
+        assert 0 < low <= high
+
+    def test_lambda2_equals_networkx_normalized_laplacian(self):
+        pytest.importorskip("scipy")
+        graphs = [nx.random_regular_graph(degree, n, seed=seed)
+                  for seed, (degree, n) in enumerate([(3, 10), (4, 17), (4, 32), (6, 41)])]
+        graphs += [nx.gnp_random_graph(n, 0.2, seed=seed) for seed, n in enumerate([8, 15, 30])]
+        graphs += [path(range(9)), star(0, range(1, 12)), clique(range(7))]
+        isolated = cycle(range(6))
+        isolated.add_node(6)
+        graphs.append(isolated)
+        for graph in graphs:
+            laplacian = nx.normalized_laplacian_matrix(graph).toarray()
+            expected = float(np.sort(np.linalg.eigvalsh(laplacian))[1])
+            assert normalized_laplacian_lambda2(graph) == expected
+            assert normalized_laplacian_lambda2(CsrSnapshot.from_networkx(graph)) == expected

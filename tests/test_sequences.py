@@ -9,8 +9,8 @@ from repro.dynamics.sequences import (
     PeriodicSequenceNetwork,
     StaticDynamicNetwork,
 )
-from repro.graphs.generators import clique, cycle, path, star
-from repro.graphs.metrics import GraphMetrics
+from repro.graphs.generators import clique, cycle, erdos_renyi_csr, path, path_csr, star
+from repro.graphs.metrics import EXACT_ENUMERATION_LIMIT, GraphMetrics
 
 
 class TestStaticDynamicNetwork:
@@ -38,12 +38,18 @@ class TestStaticDynamicNetwork:
         assert network.known_step_metrics(0) is None
 
     def test_precompute_follows_the_exact_enumeration_limit(self, monkeypatch):
-        from repro.graphs.metrics import EXACT_ENUMERATION_LIMIT
-
         assert StaticDynamicNetwork(path(range(EXACT_ENUMERATION_LIMIT))).known_step_metrics(0)
         assert StaticDynamicNetwork(path(range(EXACT_ENUMERATION_LIMIT + 1))).known_step_metrics(0) is None
         monkeypatch.setattr("repro.dynamics.sequences.EXACT_ENUMERATION_LIMIT", 5)
         assert StaticDynamicNetwork(star(0, range(1, 6))).known_step_metrics(0) is None
+
+    @pytest.mark.parametrize("n", [2, 5, 11, EXACT_ENUMERATION_LIMIT, EXACT_ENUMERATION_LIMIT + 1])
+    def test_csr_and_networkx_input_know_the_same_metrics(self, n):
+        for snapshot in (path_csr(range(n)), erdos_renyi_csr(n, 0.5, rng=n)):
+            from_csr = StaticDynamicNetwork(snapshot).known_step_metrics(0)
+            from_nx = StaticDynamicNetwork(snapshot.to_networkx()).known_step_metrics(0)
+            assert from_csr == from_nx
+            assert (from_csr is None) == (n > EXACT_ENUMERATION_LIMIT)
 
     def test_input_graph_is_copied(self):
         graph = path(range(5))
