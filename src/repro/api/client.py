@@ -38,6 +38,10 @@ from typing import Any, Dict, Iterator, List, Optional
 #: Socket timeout (seconds) for one request/read when none is given.
 DEFAULT_TIMEOUT = 30.0
 
+#: Longest ``wait_s`` a lease request may ask the coordinator to hold it for;
+#: below :data:`DEFAULT_TIMEOUT`, so a long-poll never trips the socket timeout.
+MAX_LEASE_WAIT_SECONDS = 20.0
+
 #: Socket timeout for SSE reads; must exceed the server's heartbeat interval.
 DEFAULT_STREAM_TIMEOUT = 120.0
 
@@ -226,15 +230,20 @@ class ServiceClient:
         document: Dict[str, Any] = {} if name is None else {"name": name}
         return self._json("POST", "/workers", document)["worker"]
 
-    def acquire_leases(self, worker: str, max_points: int = 1) -> Dict[str, Any]:
+    def acquire_leases(self, worker: str, max_points: int = 1,
+                       wait_s: float = 0) -> Dict[str, Any]:
         """``POST /leases``: request up to ``max_points`` point leases.
 
-        Returns ``{"state": "granted"|"busy"|"idle"|"closed",
-        "leases": [...]}`` — ``busy`` means open points are leased elsewhere
-        (poll again), ``idle`` means no open work exists right now.
+        With ``wait_s > 0`` (at most :data:`MAX_LEASE_WAIT_SECONDS`) the
+        coordinator holds the request until it can grant a point or
+        ``wait_s`` seconds pass — a long-poll.  Returns ``{"state":
+        "granted"|"busy"|"idle"|"closed", "leases": [...]}`` — ``busy`` means
+        open points are leased elsewhere (ask again), ``idle`` means no open
+        work exists right now.
         """
         return self._json("POST", "/leases",
-                          {"worker": worker, "max_points": max_points})
+                          {"worker": worker, "max_points": max_points, "wait_s": wait_s},
+                          timeout=self.timeout + wait_s)
 
     def report_lease(
         self,
@@ -264,6 +273,7 @@ class ServiceClient:
 __all__ = [
     "DEFAULT_STREAM_TIMEOUT",
     "DEFAULT_TIMEOUT",
+    "MAX_LEASE_WAIT_SECONDS",
     "ServiceClient",
     "ServiceError",
 ]

@@ -47,10 +47,12 @@ import argparse
 import json
 import os
 import sys
+import threading
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import api
 from repro.analysis.tables import format_table
+from repro.api.client import MAX_LEASE_WAIT_SECONDS
 from repro.core.variants import Variant
 from repro.execution import chaos_from_env
 from repro.scenarios import (
@@ -95,6 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
         value = int(text)
         if value < 1:
             raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        return value
+
+    def poll_seconds(text: str) -> float:
+        value = float(text)
+        if not 0 <= value <= MAX_LEASE_WAIT_SECONDS:  # NaN fails too
+            raise argparse.ArgumentTypeError(
+                f"must be in [0, {MAX_LEASE_WAIT_SECONDS:g}] seconds, "
+                f"got {text}")
         return value
 
     def add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
@@ -296,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="points to lease per request",
     )
     worker_parser.add_argument(
-        "--poll", type=float, default=0.5, metavar="SECONDS",
-        help="delay between lease requests while no work is available",
+        "--poll", type=poll_seconds, default=0.5, metavar="SECONDS",
+        help="longest a lease request waits at the coordinator for work "
+        f"(0 to {MAX_LEASE_WAIT_SECONDS:g})",
     )
     worker_parser.add_argument(
         "--exit-when-idle", action="store_true",
@@ -825,15 +836,20 @@ def _command_serve(args, out) -> int:
     # service on port 0 read the actual port from it (see ci service-smoke).
     print(f"repro serve: listening on http://{host}:{port} "
           f"(workers={args.workers}, jobs={args.jobs}{mode})", file=out, flush=True)
+    # Serve from a thread so requests keep flowing while shutdown drains:
+    # a coordinator's queued runs still need their workers to reach it.
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
     try:
-        server.serve_forever()
+        serving.join()
     except KeyboardInterrupt:
         pass
     finally:
         print("repro serve: shutting down (draining queued runs)", file=out, flush=True)
-        server.shutdown()
-        server.server_close()
         service.shutdown(drain=True)
+        server.shutdown()
+        server.wait_idle(timeout=5.0)  # finish replies already being written
+        server.server_close()
     return 0
 
 

@@ -27,15 +27,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.api.client import ServiceClient, ServiceError
+from repro.api.client import MAX_LEASE_WAIT_SECONDS, ServiceClient, ServiceError
 from repro.api.sinks import ResultSink
 from repro.distributed.http_sink import HttpSink
 from repro.execution.chaos import ChaosKill, ChaosMonkey, chaos_from_env
 from repro.scenarios.measurements import measure_point
 from repro.scenarios.pipeline import _normalise
 from repro.scenarios.scenario import Scenario, ScenarioPoint
+from repro.utils.validation import require
 
-#: Seconds between lease requests while the coordinator reports ``busy``.
+#: Longest a lease request waits at the coordinator for work (``wait_s``);
+#: also the least time between two requests that come back empty.
 DEFAULT_POLL_SECONDS = 0.5
 
 
@@ -127,11 +129,15 @@ def run_worker(
 ) -> WorkerStats:
     """Register with ``coordinator`` and work leases until done.
 
-    The loop ends when the coordinator reports ``closed`` (service shutting
-    down), when ``exit_when_idle`` is set and no open work remains, or after
+    Each lease request long-polls: the coordinator holds it up to ``poll``
+    seconds until a point can be granted.  The loop ends when the coordinator
+    reports ``closed`` (service shut down and drained), when
+    ``exit_when_idle`` is set and no open work remains, or after
     ``max_leases`` grants (a test/chaos bound).  ``chaos`` defaults to the
     ``REPRO_CHAOS`` environment schedule.
     """
+    require(0 <= poll <= MAX_LEASE_WAIT_SECONDS,
+            f"poll must be in [0, {MAX_LEASE_WAIT_SECONDS:g}] seconds, got {poll!r}")
     client = ServiceClient(coordinator)
     if sink is None:
         sink = HttpSink(coordinator)
@@ -147,8 +153,10 @@ def run_worker(
         if max_leases is not None and stats.leases >= max_leases:
             stats.stopped = "max_leases"
             break
+        asked = time.monotonic()
         try:
-            response = client.acquire_leases(stats.worker_id, max_points=max_points)
+            response = client.acquire_leases(stats.worker_id, max_points=max_points,
+                                             wait_s=poll)
         except (ServiceError, OSError) as error:
             stats.stopped = f"coordinator lost: {error}"
             break
@@ -183,7 +191,9 @@ def run_worker(
         if state == "idle" and exit_when_idle:
             stats.stopped = "idle"
             break
-        time.sleep(poll)
+        # Sleep out whatever part of ``poll`` the request did not wait, so a
+        # coordinator that ignores ``wait_s`` sees one request per ``poll``.
+        time.sleep(max(0.0, poll - (time.monotonic() - asked)))
     return stats
 
 

@@ -188,6 +188,18 @@ class ExperimentService:
         """Runs accepted but not yet picked up by a worker."""
         return self.registry.count_in_state("queued")
 
+    def drained(self) -> bool:
+        """True once shut down with no run left queued or running."""
+        # "queued" is counted first: a run only moves queued → running →
+        # terminal, so it cannot slip between the two counts.
+        return (self.closed and not self.registry.count_in_state("queued")
+                and not self.registry.count_in_state("running"))
+
+    def _close_leases_if_drained(self) -> None:
+        """Wake lease long-polls for good once no run can publish points."""
+        if self.leases is not None and self.drained():
+            self.leases.close()
+
     # -- execution -----------------------------------------------------------
 
     def _worker_loop(self) -> None:
@@ -200,6 +212,7 @@ class ExperimentService:
                     self._finish_aborted(item.record)
                 else:
                     self._execute(item.record)
+                self._close_leases_if_drained()
             finally:
                 self._queue.task_done()
 
@@ -474,6 +487,9 @@ class ExperimentService:
             # Wake coordinated runs immediately instead of waiting for their
             # next abort poll; open leases go terminal "aborted".
             self.leases.abort_open(error="aborted: service shutdown")
+        # With nothing left to run, waiting workers hear "closed" now;
+        # otherwise the worker thread finishing the last run closes them.
+        self._close_leases_if_drained()
         if not already_closed:
             # Sentinels queue FIFO behind every accepted run, so each worker
             # exits only after the backlog is handled (executed or aborted).

@@ -22,7 +22,8 @@ GET    ``/artifacts/{key}``         one cached artifact by content hash;
                                     encoding (``Infinity``/``NaN`` literals)
 PUT    ``/artifacts/{key}``         idempotent checksum-verified write
 POST   ``/workers``                 register a remote worker (coordinator)
-POST   ``/leases``                  request point leases (coordinator)
+POST   ``/leases``                  request point leases (coordinator);
+                                    ``wait_s`` long-polls for work
 POST   ``/leases/{id}``             report a leased attempt's outcome
 GET    ``/leases``                  every task's lease state (coordinator)
 GET    ``/metrics``                 Prometheus text exposition
@@ -44,11 +45,13 @@ lines flow during quiet periods so dead clients are detected.
 from __future__ import annotations
 
 import json
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 import repro
+from repro.api.client import MAX_LEASE_WAIT_SECONDS
 from repro.service.app import ExperimentService, ServiceClosed, parse_scenarios
 from repro.utils.jsonio import dumps_strict
 
@@ -70,6 +73,32 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, RequestHandler)
         self.service = service
         self.quiet = quiet
+        # Accepted connections not yet closed: handler threads are daemons,
+        # so a process exiting under one would cut its response short.
+        self._connections = 0
+        self._idle = threading.Condition()
+
+    def process_request(self, request, client_address) -> None:
+        with self._idle:
+            self._connections += 1
+        super().process_request(request, client_address)
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._idle:
+                self._connections -= 1
+                self._idle.notify_all()
+
+    def wait_idle(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for accepted connections to close.
+
+        Call after :meth:`shutdown` (no new connections), before the process
+        exits, so replies already being written reach their clients.
+        """
+        with self._idle:
+            return self._idle.wait_for(lambda: self._connections == 0, timeout)
 
 
 def create_server(
@@ -265,8 +294,15 @@ class RequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(400, "'worker' (a registered worker id) is required")
             return
         max_points = document.get("max_points", 1)
+        wait_s = document.get("wait_s", 0)
+        if isinstance(wait_s, bool) or not isinstance(wait_s, (int, float)) \
+                or not 0 <= wait_s <= MAX_LEASE_WAIT_SECONDS:  # NaN fails too
+            self._send_error_json(
+                400, "'wait_s' must be a number of seconds in "
+                f"[0, {MAX_LEASE_WAIT_SECONDS:g}], got {wait_s!r}")
+            return
         try:
-            grants = registry.acquire(worker, max_points=max_points)
+            grants = registry.acquire(worker, max_points=max_points, wait=wait_s)
         except ValueError as error:
             self._send_error_json(400, str(error))
             return
@@ -275,8 +311,8 @@ class RequestHandler(BaseHTTPRequestHandler):
             self.service.metrics.increment("leases_granted", len(grants))
         elif registry.open_work():
             state = "busy"  # open points exist but are leased elsewhere
-        elif self.service.closed:
-            state = "closed"  # shutting down and drained: workers can exit
+        elif self.service.drained():
+            state = "closed"  # shut down, no run left to serve: workers can exit
         else:
             state = "idle"  # nothing to do right now; more runs may arrive
         # Raw encoding: lease specs carry scenario payloads that must

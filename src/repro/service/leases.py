@@ -24,11 +24,14 @@ attempted.
 
 All state transitions synchronise on one condition variable; the coordinator
 blocks in :meth:`LeaseRegistry.wait_run` while workers mutate tasks from HTTP
-handler threads.
+handler threads, and a worker's lease request may block in
+:meth:`LeaseRegistry.acquire` (a long-poll) until the same condition signals
+new work.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -157,6 +160,7 @@ class LeaseRegistry:
         self._worker_counter = 0
         #: Reclamations performed (expired leases returned to the pool).
         self.reclaimed = 0
+        self._closed = False
 
     # -- run side (coordinator) ---------------------------------------------
 
@@ -242,38 +246,71 @@ class LeaseRegistry:
         with self._cond:
             return [dict(entry) for entry in self._workers.values()]
 
-    def acquire(self, worker: str, max_points: int = 1) -> List[Lease]:
+    def acquire(self, worker: str, max_points: int = 1,
+                wait: float = 0.0) -> List[Lease]:
         """Grant up to ``max_points`` leases to ``worker`` (oldest first).
 
         Sweeps expired leases first, so a reclaimed point is immediately
-        re-issuable.  Each grant charges one attempt.
+        re-issuable.  Each grant charges one attempt.  With nothing to grant,
+        blocks up to ``wait`` seconds for work: a published point, a failed
+        lease re-pending, the earliest outstanding lease expiring (the sweep
+        then reclaims and grants it at once), or :meth:`close`.  Returns
+        ``[]`` when none arrives in time.
         """
-        require(isinstance(max_points, int) and max_points >= 1,
+        require(isinstance(max_points, int) and not isinstance(max_points, bool)
+                and max_points >= 1,
                 f"max_points must be a positive integer, got {max_points!r}")
+        require(isinstance(wait, (int, float)) and math.isfinite(wait) and wait >= 0,
+                f"wait must be a finite number of seconds >= 0, got {wait!r}")
+        # The wait is real time (Condition.wait), whatever clock leases use.
+        deadline = time.monotonic() + wait
         with self._cond:
-            self._reclaim_expired_locked()
-            grants: List[Lease] = []
-            for task_id in self._order:
-                if len(grants) >= max_points:
-                    break
-                task = self._tasks[task_id]
-                if task.state != "pending":
-                    continue
-                self._lease_counter += 1
-                lease_id = f"lease-{self._lease_counter:06d}"
-                self._leases[lease_id] = task
-                task.state = "leased"
-                task.attempts += 1
-                task.worker = worker
-                task.lease_id = lease_id
-                task.lease_expires = self._clock() + self.ttl
-                if worker in self._workers:
-                    self._workers[worker]["leases_granted"] += 1
-                grants.append(Lease(
-                    lease_id=lease_id, worker=worker, task=task,
-                    attempt=task.attempts, ttl=self.ttl,
-                ))
-            return grants
+            while True:
+                self._reclaim_expired_locked()
+                grants = self._grant_locked(worker, max_points)
+                remaining = deadline - time.monotonic()
+                if grants or self._closed or remaining <= 0:
+                    return grants
+                expiries = [task.lease_expires for task in self._tasks.values()
+                            if task.state == "leased" and task.lease_expires is not None]
+                if expiries:
+                    remaining = min(remaining, max(0.0, min(expiries) - self._clock()))
+                self._cond.wait(timeout=remaining)
+
+    def _grant_locked(self, worker: str, max_points: int) -> List[Lease]:
+        grants: List[Lease] = []
+        for task_id in self._order:
+            if len(grants) >= max_points:
+                break
+            task = self._tasks[task_id]
+            if task.state != "pending":
+                continue
+            self._lease_counter += 1
+            lease_id = f"lease-{self._lease_counter:06d}"
+            self._leases[lease_id] = task
+            task.state = "leased"
+            task.attempts += 1
+            task.worker = worker
+            task.lease_id = lease_id
+            task.lease_expires = self._clock() + self.ttl
+            if worker in self._workers:
+                self._workers[worker]["leases_granted"] += 1
+            grants.append(Lease(
+                lease_id=lease_id, worker=worker, task=task,
+                attempt=task.attempts, ttl=self.ttl,
+            ))
+        return grants
+
+    def close(self) -> None:
+        """End every wait: pending and later :meth:`acquire` calls return at once.
+
+        They still grant whatever is pending.  The service closes its
+        registry once it is shut down and drained, so long-polling workers
+        hear ``closed`` without waiting out their ``wait``.
+        """
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
 
     def open_work(self) -> bool:
         """True while any task could still receive (or holds) a lease."""

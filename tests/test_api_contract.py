@@ -84,7 +84,7 @@ EXPECTED_SIGNATURES = {
     "ServiceClient.artifact": ["self", "key", "raw"],
     "ServiceClient.store_artifact": ["self", "key", "spec", "kind", "payload", "checksum"],
     "ServiceClient.register_worker": ["self", "name"],
-    "ServiceClient.acquire_leases": ["self", "worker", "max_points"],
+    "ServiceClient.acquire_leases": ["self", "worker", "max_points", "wait_s"],
     "ServiceClient.report_lease": ["self", "lease_id", "worker", "ok", "error", "cached"],
 }
 

@@ -4,7 +4,8 @@ Three layers, increasingly end-to-end:
 
 * :class:`LeaseRegistry` unit tests with an injectable clock — attempt
   charging, TTL reclamation without double-counting, stale completions and
-  failures, budget exhaustion;
+  failures, budget exhaustion — and on the real clock for the long-poll
+  (``acquire(wait=…)``) and what ends it;
 * :func:`repro.api.sink_from_url` scheme dispatch, the pinned sorted
   ``keys()`` ordering of every sink, and an :class:`HttpSink` round trip
   against a live service (including non-finite floats, which must survive
@@ -73,6 +74,24 @@ class FakeClock:
 def make_registry(ttl=10.0, max_attempts=3):
     clock = FakeClock()
     return LeaseRegistry(ttl=ttl, max_attempts=max_attempts, clock=clock), clock
+
+
+def acquire_in_thread(registry, worker, wait):
+    """Start ``registry.acquire(worker, wait=wait)`` on a thread.
+
+    Returns ``(thread, outcome)``; once the thread ends, ``outcome`` holds
+    the grants and the seconds the call took.
+    """
+    outcome = {}
+
+    def target():
+        start = time.monotonic()
+        outcome["grants"] = registry.acquire(worker, wait=wait)
+        outcome["elapsed"] = time.monotonic() - start
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread, outcome
 
 
 class TestLeaseRegistry:
@@ -163,6 +182,121 @@ class TestLeaseRegistry:
         listing = registry.as_dict()
         assert listing["tasks"][0]["state"] == "aborted"
         assert listing["tasks"][0]["error"] == "test abort"
+
+    def test_max_points_and_wait_are_validated(self):
+        registry, _ = make_registry()
+        worker = registry.register_worker()
+        registry.add_point("run-1", {}, "key")
+        for bad in (True, 0, 1.0):
+            with pytest.raises(ValueError, match="max_points"):
+                registry.acquire(worker, max_points=bad)
+        for bad in (-0.1, math.nan, math.inf, "1"):
+            with pytest.raises(ValueError, match="wait"):
+                registry.acquire(worker, wait=bad)
+        assert registry.as_dict()["tasks"][0]["state"] == "pending"
+
+    def test_wait_returns_a_point_published_while_waiting(self):
+        registry = LeaseRegistry(ttl=10.0)
+        worker = registry.register_worker()
+        thread, outcome = acquire_in_thread(registry, worker, wait=5.0)
+        time.sleep(0.1)
+        assert thread.is_alive()  # nothing to grant yet: it waits
+        task = registry.add_point("run-1", {}, "key")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        (lease,) = outcome["grants"]
+        assert lease.task is task and task.state == "leased"
+        assert outcome["elapsed"] < 1.0
+
+    def test_wait_returns_a_failed_lease_once_it_re_pends(self):
+        registry = LeaseRegistry(ttl=10.0)
+        first = registry.register_worker()
+        second = registry.register_worker()
+        task = registry.add_point("run-1", {}, "key")
+        (held,) = registry.acquire(first)
+        thread, outcome = acquire_in_thread(registry, second, wait=5.0)
+        time.sleep(0.1)
+        registry.fail(held.lease_id, first, "boom")
+        thread.join(timeout=5.0)
+        (lease,) = outcome["grants"]
+        assert lease.task is task and lease.attempt == 2
+        assert outcome["elapsed"] < 1.0
+
+    def test_wait_wakes_when_the_earliest_lease_expires(self):
+        # Nothing notifies here: only the wait's own expiry bound can wake it.
+        registry = LeaseRegistry(ttl=0.3)
+        first = registry.register_worker()
+        second = registry.register_worker()
+        task = registry.add_point("run-1", {}, "key")
+        registry.acquire(first)
+        thread, outcome = acquire_in_thread(registry, second, wait=5.0)
+        thread.join(timeout=5.0)
+        (lease,) = outcome["grants"]
+        assert lease.task is task and lease.attempt == 2
+        assert task.reclaims == 1 and registry.reclaimed == 1
+        assert 0.2 < outcome["elapsed"] < 1.5
+
+    def test_wait_returns_empty_at_its_deadline(self):
+        registry = LeaseRegistry(ttl=10.0)
+        worker = registry.register_worker()
+        start = time.monotonic()
+        assert registry.acquire(worker, wait=0.2) == []
+        assert 0.2 <= time.monotonic() - start < 1.5
+
+    def test_close_ends_pending_and_later_waits(self):
+        registry = LeaseRegistry(ttl=10.0)
+        worker = registry.register_worker()
+        thread, outcome = acquire_in_thread(registry, worker, wait=5.0)
+        time.sleep(0.1)
+        registry.close()
+        thread.join(timeout=5.0)
+        assert outcome["grants"] == [] and outcome["elapsed"] < 1.0
+        start = time.monotonic()
+        assert registry.acquire(worker, wait=5.0) == []
+        assert time.monotonic() - start < 1.0
+        # a closed registry still grants what is pending
+        task = registry.add_point("run-1", {}, "key")
+        (lease,) = registry.acquire(worker, wait=5.0)
+        assert lease.task is task
+
+    def test_many_waiters_share_published_points_exactly_once(self):
+        """More waiting threads than cores, fine-grained thread switching:
+        every point is granted exactly once and every waiter exits."""
+        points, waiters = 24, 4 * (os.cpu_count() or 1) + 2
+        registry = LeaseRegistry(ttl=60.0)
+        workers = [registry.register_worker() for _ in range(waiters)]
+        granted, stop = [], threading.Event()
+
+        def wait_for_work(worker, max_points):
+            while not stop.is_set():
+                granted.extend(registry.acquire(worker, max_points=max_points,
+                                                wait=0.05))
+
+        threads = [threading.Thread(target=wait_for_work, args=(worker, 1 + i % 2),
+                                    daemon=True)
+                   for i, worker in enumerate(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            tasks = []
+            for index in range(points):
+                tasks.append(registry.add_point("run-1", {"index": index}, f"k{index}"))
+                time.sleep(0.001)
+            deadline = time.monotonic() + 10.0
+            while len(granted) < points and time.monotonic() < deadline:
+                time.sleep(0.01)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=5.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(lease.task.task_id for lease in granted) == \
+            sorted(task.task_id for task in tasks)
+        assert all(task.state == "leased" and task.attempts == 1 for task in tasks)
 
 
 class TestSinkFromUrl:
@@ -414,6 +548,129 @@ class TestCoordinatedExecution:
             service.shutdown(drain=False, timeout=30)
 
 
+def start_worker(base, **kwargs):
+    """``run_worker(base, **kwargs)`` on a thread, registered before return.
+
+    Returns ``(thread, stats)``; ``stats`` holds the worker's
+    :class:`WorkerStats` once the thread ends.
+    """
+    stats = []
+    client = ServiceClient(base)
+    before = len(client.leases()["workers"])
+    thread = threading.Thread(
+        target=lambda: stats.append(run_worker(base, **kwargs)), daemon=True)
+    thread.start()
+    deadline = time.monotonic() + WAIT
+    while len(client.leases()["workers"]) == before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return thread, stats
+
+
+class TestLongPollWorkers:
+    ONE_POINT = {**SWEEP_SCENARIO, "label": "one point", "sweep": [12]}
+
+    def test_waiting_worker_gets_a_published_point_well_before_its_poll(
+            self, coordinator):
+        base, _ = coordinator
+        client = ServiceClient(base)
+        thread, stats = start_worker(base, poll=5.0, max_leases=1)
+        time.sleep(0.2)  # the worker is now inside its 5 s lease request
+        start = time.monotonic()
+        detail = client.wait(client.submit(self.ONE_POINT)["id"], timeout=WAIT)
+        elapsed = time.monotonic() - start
+        thread.join(timeout=WAIT)
+        assert detail["state"] == "completed"
+        assert stats[0].completed == 1 and stats[0].stopped == "max_leases"
+        assert elapsed < 1.0, f"point waited {elapsed:.2f}s for a 5s-poll worker"
+
+    @pytest.mark.parametrize("poll", [0.05, 5.0])
+    def test_drained_runs_keep_the_worker_until_the_last_completes(
+            self, poll, monkeypatch):
+        """Runs queued behind shutdown(drain=True) still get the fleet; the
+        worker hears "closed" only once none is queued or running."""
+        service = ExperimentService(ServiceConfig(
+            workers=1, coordinator=True, sink=MemorySink(),
+            lease_ttl=30.0, lease_attempts=3,
+        ))
+        # The second run starts publishing late, so the worker's lease
+        # requests meet a shut-down service with a run but no open point.
+        publish = service._run_coordinated
+        started = []
+
+        def publish_second_run_late(record, report):
+            started.append(record.id)
+            if len(started) == 2:
+                time.sleep(0.3)
+            return publish(record, report)
+
+        monkeypatch.setattr(service, "_run_coordinated", publish_second_run_late)
+        server = create_server(service, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        client = ServiceClient(base)
+        try:
+            thread, stats = start_worker(base, poll=poll)
+            runs = [client.submit({**self.ONE_POINT, "seed": seed})["id"]
+                    for seed in (1, 2)]
+            start = time.monotonic()
+            service.shutdown(drain=True, timeout=10)
+            thread.join(timeout=10)
+            elapsed = time.monotonic() - start
+            assert [client.run(run_id)["state"] for run_id in runs] == \
+                ["completed", "completed"]
+            assert not thread.is_alive()
+            assert stats[0].stopped == "closed" and stats[0].completed == 2
+            # neither the drain nor the exit sat out a 5 s poll
+            assert elapsed < 4.0, f"drain + worker exit took {elapsed:.2f}s"
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.shutdown(drain=False, timeout=30)
+
+    def test_repro_serve_drains_queued_runs_through_its_workers(self, tmp_path):
+        """SIGINT to `repro serve --coordinator` with runs queued: the server
+        keeps answering while it drains, so a worker started afterwards still
+        finishes both runs (one point each) and serve then exits cleanly.
+
+        The worker's exit status is not pinned: its request after the last
+        completion can meet a serve that has already exited."""
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--coordinator", "--no-cache", "--workers", "1"],
+            cwd=str(tmp_path),
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as serve:
+            try:
+                base = re.search(r"http://[\d.]+:\d+", serve.stdout.readline()).group(0)
+                client = ServiceClient(base)
+                for seed in (1, 2):
+                    client.submit({**self.ONE_POINT, "seed": seed})
+                serve.send_signal(signal.SIGINT)
+                worker = _run_cli(["worker", "--coordinator", base, "--json"], tmp_path)
+                stats = json.loads(worker.stdout)
+                assert stats["completed"] == 2 and stats["failed"] == 0, stats
+                assert serve.wait(timeout=WAIT) == 0
+                assert "draining" in serve.stdout.read()
+            finally:
+                if serve.poll() is None:
+                    serve.kill()
+
+    @pytest.mark.parametrize("poll", ["-1", "20.5", "nan", "inf"])
+    def test_cli_rejects_a_poll_outside_the_lease_wait_range(self, poll, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--coordinator", "http://127.0.0.1:9", "--poll", poll])
+        assert excinfo.value.code == 2
+        assert "--poll" in capsys.readouterr().err
+
+    def test_run_worker_rejects_a_poll_outside_the_lease_wait_range(self):
+        for poll in (-1.0, 20.5, math.nan):
+            with pytest.raises(ValueError, match="poll"):
+                run_worker("http://127.0.0.1:9", poll=poll)
+
+
 def _run_cli(argv, cwd, env=None, timeout=WAIT):
     return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
@@ -466,7 +723,7 @@ class TestDistributedSubprocessAgreement:
             assert doomed.returncode == 86  # os._exit(86): no report sent
 
             # two healthy workers drain the rest; the killed point re-issues
-            # once its 2s lease expires (the "busy" state keeps them polling)
+            # once its 2s lease expires (their lease requests wait for it)
             healthy = [
                 subprocess.Popen(
                     [sys.executable, "-m", "repro", "worker",

@@ -13,6 +13,9 @@ Coverage required by the service contract:
 * concurrent submissions all completing with consistent accounting;
 * a ``REPRO_CHAOS`` run whose ``/metrics`` execution counters match the
   run's own :class:`ExecutionReport` exactly;
+* coordinator lease requests: ``wait_s``/``max_points`` validation, the
+  long-poll's idle answer, and ``wait_idle`` letting an accepted long-poll
+  answer after the server stops accepting;
 * graceful shutdown draining queued runs;
 * one end-to-end ``repro serve`` subprocess smoke (announce line, request,
   SIGINT shutdown).
@@ -24,6 +27,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -280,6 +284,72 @@ class TestEventStreaming:
         assert counters["runs_submitted"] == count
         assert counters["runs_completed"] == count
         assert len(client.api.runs()) == count
+
+
+@pytest.fixture
+def coordinated():
+    """A live coordinator-mode server; yields ``(client, worker_id, server)``."""
+    service = ExperimentService(ServiceConfig(workers=1, coordinator=True))
+    server = create_server(service, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    client = Client(f"http://127.0.0.1:{server.server_address[1]}")
+    try:
+        yield client, client.api.register_worker("probe"), server
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.shutdown(drain=False, timeout=30)
+
+
+class TestLeaseRequests:
+    @pytest.mark.parametrize("field, value", [
+        ("wait_s", -0.5),
+        ("wait_s", 20.5),
+        ("wait_s", "1"),
+        ("wait_s", True),
+        ("wait_s", None),
+        ("max_points", True),
+        ("max_points", 0),
+    ])
+    def test_bad_lease_request_fields_are_400(self, coordinated, field, value):
+        client, worker, _ = coordinated
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            client.post("/leases", {"worker": worker, field: value})
+        with excinfo.value as error:
+            assert error.code == 400
+            assert field in json.loads(error.read())["error"]
+
+    @pytest.mark.parametrize("literal", [b"NaN", b"Infinity"])
+    def test_non_finite_wait_is_400(self, coordinated, literal):
+        client, worker, _ = coordinated
+        body = b'{"worker": "%s", "wait_s": %s}' % (worker.encode(), literal)
+        request = urllib.request.Request(client.base + "/leases", data=body,
+                                         method="POST")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        with excinfo.value as error:
+            assert error.code == 400
+
+    def test_wait_is_held_up_to_wait_s_then_answers_idle(self, coordinated):
+        client, worker, _ = coordinated
+        start = time.monotonic()
+        response = client.api.acquire_leases(worker, wait_s=0.3)
+        assert response == {"state": "idle", "leases": []}
+        assert 0.3 <= time.monotonic() - start < 5.0
+
+    def test_wait_idle_lets_an_accepted_long_poll_answer(self, coordinated):
+        client, worker, server = coordinated
+        replies = []
+        thread = threading.Thread(
+            target=lambda: replies.append(client.api.acquire_leases(worker, wait_s=1.0)),
+            daemon=True)
+        thread.start()
+        time.sleep(0.3)  # the request is accepted and waiting for work
+        server.shutdown()  # no new connections from here on
+        assert server.wait_idle(timeout=0.05) is False
+        assert server.wait_idle(timeout=10.0) is True
+        thread.join(timeout=10.0)
+        assert replies == [{"state": "idle", "leases": []}]
 
 
 class TestChaosMetrics:
