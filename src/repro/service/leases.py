@@ -149,8 +149,12 @@ class LeaseRegistry:
         self.max_attempts = max_attempts
         self._clock = clock
         self._cond = threading.Condition()
+        # Every task ever added, in submission order (the ``GET /leases``
+        # listing), and the open ones alone: grants, expiry sweeps and run
+        # waits scan only ``_open``, so their cost does not grow with the
+        # number of points the coordinator has already finished.
         self._tasks: Dict[str, PointTask] = {}
-        self._order: List[str] = []
+        self._open: Dict[str, PointTask] = {}
         self._workers: Dict[str, Dict[str, Any]] = {}
         # Every lease ever granted, so stale reports (reclaimed leases)
         # still resolve to their task.  Bounded by points × max_attempts.
@@ -175,20 +179,18 @@ class LeaseRegistry:
                 key=key,
             )
             self._tasks[task.task_id] = task
-            self._order.append(task.task_id)
+            self._open[task.task_id] = task
             self._cond.notify_all()
             return task
 
     def run_tasks(self, run_id: str) -> List[PointTask]:
         """The run's tasks, in submission (= scenario point) order."""
         with self._cond:
-            return [self._tasks[task_id] for task_id in self._order
-                    if self._tasks[task_id].run_id == run_id]
+            return [task for task in self._tasks.values() if task.run_id == run_id]
 
     def run_finished(self, run_id: str) -> bool:
         with self._cond:
-            return all(not task.open for task in self._tasks.values()
-                       if task.run_id == run_id)
+            return not self._run_open_locked(run_id)
 
     def wait_run(self, run_id: str, timeout: Optional[float] = None,
                  poll: float = 0.25) -> bool:
@@ -202,8 +204,7 @@ class LeaseRegistry:
         with self._cond:
             while True:
                 self._reclaim_expired_locked()
-                if all(not task.open for task in self._tasks.values()
-                       if task.run_id == run_id):
+                if not self._run_open_locked(run_id):
                     return True
                 if deadline is not None and self._clock() >= deadline:
                     return False
@@ -216,9 +217,9 @@ class LeaseRegistry:
         """Force every open task (of ``run_id``, or all runs) terminal."""
         with self._cond:
             aborted = 0
-            for task in self._tasks.values():
-                if task.open and (run_id is None or task.run_id == run_id):
-                    task.state = "aborted"
+            for task in list(self._open.values()):
+                if run_id is None or task.run_id == run_id:
+                    self._finish_locked(task, "aborted")
                     task.error = error
                     aborted += 1
             if aborted:
@@ -271,7 +272,7 @@ class LeaseRegistry:
                 remaining = deadline - time.monotonic()
                 if grants or self._closed or remaining <= 0:
                     return grants
-                expiries = [task.lease_expires for task in self._tasks.values()
+                expiries = [task.lease_expires for task in self._open.values()
                             if task.state == "leased" and task.lease_expires is not None]
                 if expiries:
                     remaining = min(remaining, max(0.0, min(expiries) - self._clock()))
@@ -279,10 +280,9 @@ class LeaseRegistry:
 
     def _grant_locked(self, worker: str, max_points: int) -> List[Lease]:
         grants: List[Lease] = []
-        for task_id in self._order:
+        for task in self._open.values():  # oldest first
             if len(grants) >= max_points:
                 break
-            task = self._tasks[task_id]
             if task.state != "pending":
                 continue
             self._lease_counter += 1
@@ -315,12 +315,12 @@ class LeaseRegistry:
     def open_work(self) -> bool:
         """True while any task could still receive (or holds) a lease."""
         with self._cond:
-            return any(task.open for task in self._tasks.values())
+            return bool(self._open)
 
     def open_count(self) -> int:
         """How many tasks are not yet terminal (a ``/metrics`` gauge)."""
         with self._cond:
-            return sum(1 for task in self._tasks.values() if task.open)
+            return len(self._open)
 
     def complete(self, lease_id: str, worker: str,
                  cached: bool = False) -> Tuple[Optional[PointTask], bool]:
@@ -337,7 +337,7 @@ class LeaseRegistry:
                 return None, False
             if not task.open:
                 return task, False
-            task.state = "completed"
+            self._finish_locked(task, "completed")
             task.error = None
             task.cached = bool(cached)
             task.completed_by = worker
@@ -364,7 +364,7 @@ class LeaseRegistry:
             task.lease_id = None
             task.lease_expires = None
             if task.attempts >= self.max_attempts:
-                task.state = "failed"
+                self._finish_locked(task, "failed")
                 task.error = error
             else:
                 task.state = "pending"
@@ -382,7 +382,7 @@ class LeaseRegistry:
     def _reclaim_expired_locked(self) -> int:
         now = self._clock()
         reclaimed = 0
-        for task in self._tasks.values():
+        for task in list(self._open.values()):
             if task.state != "leased" or task.lease_expires is None:
                 continue
             if now < task.lease_expires:
@@ -396,7 +396,7 @@ class LeaseRegistry:
             # The expired grant's attempt is already charged; re-pending
             # does not charge another (the next grant will).
             if task.attempts >= self.max_attempts:
-                task.state = "failed"
+                self._finish_locked(task, "failed")
                 task.error = f"{error}; attempt budget ({self.max_attempts}) exhausted"
             else:
                 task.state = "pending"
@@ -406,6 +406,14 @@ class LeaseRegistry:
             self.reclaimed += reclaimed
             self._cond.notify_all()
         return reclaimed
+
+    def _finish_locked(self, task: PointTask, state: str) -> None:
+        """Move an open task to the terminal ``state``."""
+        task.state = state
+        del self._open[task.task_id]
+
+    def _run_open_locked(self, run_id: str) -> bool:
+        return any(task.run_id == run_id for task in self._open.values())
 
     def _task_for_lease(self, lease_id: str) -> Optional[PointTask]:
         return self._leases.get(lease_id)
@@ -417,7 +425,7 @@ class LeaseRegistry:
                 "ttl": self.ttl,
                 "max_attempts": self.max_attempts,
                 "reclaimed": self.reclaimed,
-                "tasks": [self._tasks[task_id].as_dict() for task_id in self._order],
+                "tasks": [task.as_dict() for task in self._tasks.values()],
                 "workers": [dict(entry) for entry in self._workers.values()],
             }
 

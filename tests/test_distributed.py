@@ -163,6 +163,26 @@ class TestLeaseRegistry:
         assert task.state == "failed" and task.error == "boom 2"
         assert registry.acquire(worker) == [] and not registry.open_work()
 
+    def test_grants_stay_oldest_first_and_finished_points_leave_the_open_set(self):
+        registry, _ = make_registry()
+        worker = registry.register_worker()
+        old = registry.add_point("run-1", {}, "old")
+        done = registry.add_point("run-1", {}, "done")
+        (first,) = registry.acquire(worker)
+        (second,) = registry.acquire(worker)
+        registry.complete(second.lease_id, worker)
+        newer = registry.add_point("run-2", {}, "newer")
+        registry.fail(first.lease_id, worker, "boom")
+        # the re-pended point keeps its place ahead of the newer one
+        assert [lease.task for lease in registry.acquire(worker, max_points=2)] == [old, newer]
+        assert registry.open_count() == 2 and done.state == "completed"
+        assert registry.abort_open("run-1") == 1
+        assert registry.wait_run("run-1", timeout=0) is True
+        assert registry.wait_run("run-2", timeout=0) is False
+        assert registry.open_count() == 1 and registry.open_work()
+        # the listing still shows every point ever added, in order
+        assert [task["key"] for task in registry.as_dict()["tasks"]] == ["old", "done", "newer"]
+
     def test_expiry_on_last_attempt_goes_terminal(self):
         registry, clock = make_registry(ttl=3.0, max_attempts=1)
         task = registry.add_point("run-1", {}, "key")
