@@ -15,7 +15,7 @@ from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.core.batched import BatchedRumorSpreading
 from repro.dynamics.sequences import StaticDynamicNetwork
 from repro.experiments import engine_validation
-from repro.graphs.generators import clique, clique_csr, erdos_renyi_csr
+from repro.graphs.generators import clique_csr, erdos_renyi_csr
 
 
 def test_bench_engine_agreement(benchmark):
@@ -25,7 +25,7 @@ def test_bench_engine_agreement(benchmark):
 
 def test_bench_boundary_engine_throughput(benchmark):
     """Raw speed of the boundary engine on a 200-node clique."""
-    network = StaticDynamicNetwork(clique(range(200)))
+    network = StaticDynamicNetwork(clique_csr(range(200)))
     process = AsynchronousRumorSpreading()
     result = benchmark(lambda: process.run(network, rng=0))
     assert result.completed
@@ -33,7 +33,7 @@ def test_bench_boundary_engine_throughput(benchmark):
 
 def test_bench_naive_engine_throughput(benchmark):
     """Raw speed of the naive engine on a 60-node clique (reference point)."""
-    network = StaticDynamicNetwork(clique(range(60)))
+    network = StaticDynamicNetwork(clique_csr(range(60)))
     process = AsynchronousRumorSpreading(engine="naive")
     result = benchmark(lambda: process.run(network, rng=0))
     assert result.completed

@@ -19,20 +19,19 @@ from repro import (
     AsynchronousRumorSpreading,
     DynamicStarNetwork,
     SnapshotRecorder,
-    StaticDynamicNetwork,
     SynchronousRumorSpreading,
     api,
 )
 from repro.analysis.tables import format_table
 from repro.bounds.theorems import bounds_from_recorder
-from repro.graphs import clique
+from repro.dynamics.standard import static_clique_network
 
 
 def main() -> None:
     process = AsynchronousRumorSpreading()
 
     # 1. A static clique: the classical Θ(log n) behaviour.
-    clique_network = StaticDynamicNetwork(clique(range(100)))
+    clique_network = static_clique_network(100)
     result = process.run(clique_network, rng=0)
     print("Asynchronous push-pull on K_100:")
     print("  " + result.summary())

@@ -27,23 +27,11 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.state import SpreadResult
-from repro.dynamics.sequences import StaticDynamicNetwork
 from repro.execution.policy import RetryPolicy
 from repro.execution.report import ExecutionReport
 from repro.utils.parallel import fork_map
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import require, require_node_count
-
-
-def _prewarm_static(network: object) -> None:
-    """Materialise a static network's CSR snapshot before forking workers.
-
-    The conversion cache is identity-keyed on the network object, so doing it
-    once in the parent lets every forked child inherit the adapter through
-    copy-on-write memory instead of re-converting per sub-batch.
-    """
-    if isinstance(network, StaticDynamicNetwork):
-        network.materialise()
 
 
 def _run_batch(
@@ -102,12 +90,6 @@ def execute_trials(
     )
     run_kwargs = {} if run_kwargs is None else dict(run_kwargs)
     generators = spawn_rngs(rng, trials)
-    if workers > 1 and trials > 1:
-        # Shared-instance factories hand the same network object to every
-        # forked child; convert its snapshot once here so the children do
-        # not each redo the CSR adaptation.
-        _prewarm_static(factory())
-
     spread_times: List[float] = []
     kept: List[SpreadResult] = []
     n: Optional[int] = None
@@ -195,7 +177,6 @@ def execute_batched(
         f"workers must be a positive integer, got {workers!r}",
     )
     generators = spawn_rngs(rng, trials)
-    _prewarm_static(network)
 
     results: Optional[List[SpreadResult]] = None
     if workers > 1 and trials > 1:

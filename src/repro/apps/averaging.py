@@ -93,7 +93,7 @@ def run_gossip_averaging(
     n = len(nodes)
     tau = 0.0
     step = 0
-    graph = network.graph_for_step(step, frozenset())
+    snapshot = network.snapshot_for_step(step, frozenset())
     trace: List[Tuple[float, float]] = [(0.0, deviation())]
     contacts = 0
     convergence_time = math.inf
@@ -107,14 +107,15 @@ def run_gossip_averaging(
             if tau >= max_time:
                 break
             step += 1
-            graph = network.graph_for_step(step, frozenset())
+            snapshot = network.snapshot_for_step(step, frozenset())
             continue
         tau += wait
-        caller = nodes[int(gen.integers(0, n))]
-        neighbours = list(graph.neighbors(caller)) if caller in graph else []
-        if not neighbours:
+        caller_id = int(gen.integers(0, n))
+        neighbours = snapshot.neighbors(caller_id)
+        if neighbours.size == 0:
             continue
-        callee = neighbours[int(gen.integers(0, len(neighbours)))]
+        caller = nodes[caller_id]
+        callee = nodes[int(neighbours[int(gen.integers(0, len(neighbours)))])]
         average = (values[caller] + values[callee]) / 2.0
         values[caller] = average
         values[callee] = average

@@ -97,7 +97,7 @@ def run_resource_discovery(
     def informed_set() -> frozenset:
         return frozenset(node for node, resources in knowledge.items() if len(resources) == len(universe))
 
-    graph = network.graph_for_step(step, informed_set())
+    snapshot = network.snapshot_for_step(step, informed_set())
     trace: List[Tuple[float, int]] = [(0.0, total_pairs())]
     contacts = 0
     full_time = 0.0 if fully_known() else math.inf
@@ -109,14 +109,15 @@ def run_resource_discovery(
             if tau >= limit:
                 break
             step += 1
-            graph = network.graph_for_step(step, informed_set())
+            snapshot = network.snapshot_for_step(step, informed_set())
             continue
         tau += wait
-        caller = nodes[int(gen.integers(0, n))]
-        neighbours = list(graph.neighbors(caller)) if caller in graph else []
-        if not neighbours:
+        caller_id = int(gen.integers(0, n))
+        neighbours = snapshot.neighbors(caller_id)
+        if neighbours.size == 0:
             continue
-        callee = neighbours[int(gen.integers(0, len(neighbours)))]
+        caller = nodes[caller_id]
+        callee = nodes[int(neighbours[int(gen.integers(0, len(neighbours)))])]
         merged = knowledge[caller] | knowledge[callee]
         if len(merged) > len(knowledge[caller]) or len(merged) > len(knowledge[callee]):
             knowledge[caller] = set(merged)

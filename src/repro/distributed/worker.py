@@ -22,6 +22,7 @@ down a test runner or a supervising parent.
 
 from __future__ import annotations
 
+import http.client
 import os
 import time
 from dataclasses import dataclass, field
@@ -39,6 +40,11 @@ from repro.utils.validation import require
 #: Longest a lease request waits at the coordinator for work (``wait_s``);
 #: also the least time between two requests that come back empty.
 DEFAULT_POLL_SECONDS = 0.5
+
+#: Errors that mean the coordinator cannot be reached or answered badly: the
+#: worker stops with "coordinator lost" and the lease expires and is re-issued.
+#: ``HTTPException`` covers replies cut short, such as ``IncompleteRead``.
+_COORDINATOR_LOST = (ServiceError, OSError, http.client.HTTPException)
 
 
 @dataclass
@@ -146,7 +152,7 @@ def run_worker(
     stats = WorkerStats()
     try:
         stats.worker_id = client.register_worker(name)
-    except (ServiceError, OSError) as error:
+    except _COORDINATOR_LOST as error:
         stats.stopped = f"unreachable: {error}"
         return stats
     while True:
@@ -157,7 +163,7 @@ def run_worker(
         try:
             response = client.acquire_leases(stats.worker_id, max_points=max_points,
                                              wait_s=poll)
-        except (ServiceError, OSError) as error:
+        except _COORDINATOR_LOST as error:
             stats.stopped = f"coordinator lost: {error}"
             break
         state = response.get("state")
@@ -176,7 +182,7 @@ def run_worker(
                                         cached=outcome["cached"])
                     stats.completed += 1
                     stats.cached += 1 if outcome["cached"] else 0
-                except (ServiceError, OSError) as error:
+                except _COORDINATOR_LOST as error:
                     # Transport loss mid-report: the lease will expire and be
                     # re-issued; any stored artifact makes the re-run a hit.
                     stats.stopped = f"coordinator lost: {error}"

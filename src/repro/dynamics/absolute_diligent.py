@@ -28,6 +28,7 @@ from typing import Hashable, Optional, Tuple
 import networkx as nx
 
 from repro.dynamics.base import DynamicNetwork
+from repro.graphs.csr import CsrSnapshot
 from repro.graphs.generators import near_regular_with_hub, regular_connected_graph
 from repro.graphs.metrics import GraphMetrics
 from repro.utils.rng import RngLike, ensure_rng
@@ -75,7 +76,7 @@ class AbsolutelyDiligentNetwork(DynamicNetwork):
         self._base_rng = ensure_rng(rng)
         self._run_rng = None
         self._part_b: Optional[frozenset] = None
-        self._current_graph: Optional[nx.Graph] = None
+        self._snapshot: Optional[CsrSnapshot] = None
         self._hub: Optional[Hashable] = None
 
     def default_source(self) -> Hashable:
@@ -85,12 +86,12 @@ class AbsolutelyDiligentNetwork(DynamicNetwork):
     def _on_reset(self, rng) -> None:
         self._run_rng = rng
         self._part_b = frozenset(range(self._size_a0, self.n))
-        self._current_graph = None
+        self._snapshot = None
         self._hub = None
 
     # -- construction ---------------------------------------------------------
 
-    def _build_snapshot(self, part_b: frozenset, informed: frozenset) -> nx.Graph:
+    def _rebuild(self, part_b: frozenset, informed: frozenset) -> None:
         part_a = [u for u in self.nodes if u not in part_b]
         part_b_sorted = sorted(part_b)
         # The paper uses G(A, 4, Δ); for large rho (Δ < 4) the hub degree would
@@ -116,19 +117,20 @@ class AbsolutelyDiligentNetwork(DynamicNetwork):
         bridge_target = uninformed_b[0] if uninformed_b else part_b_sorted[0]
         graph.add_edge(hub, bridge_target)
         self._hub = hub
-        return graph
+        self._snapshot = CsrSnapshot.from_networkx(graph, nodes=self._nodes)
 
-    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
-        if t == 0 or self._current_graph is None:
-            self._current_graph = self._build_snapshot(self._part_b, informed)
-            return self._current_graph
+    def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
+        if t == 0 or self._snapshot is None:
+            self._rebuild(self._part_b, informed)
+            return self._snapshot
         new_b = self._part_b - informed
         shrank = len(new_b) < len(self._part_b)
         big_enough = len(new_b) >= max(self.n // 6, self.delta + 2)
         if shrank and big_enough:
             self._part_b = new_b
-            self._current_graph = self._build_snapshot(new_b, informed)
-        return self._current_graph
+            self._rebuild(new_b, informed)
+        # Unchanged steps return the same object, so engines skip the rate rebuild.
+        return self._snapshot
 
     # -- analytic metrics ------------------------------------------------------
 

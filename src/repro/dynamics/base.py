@@ -5,31 +5,32 @@ set, one exposed per discrete time step ``t = 0, 1, ...`` (Definition 1 of the
 paper).  Crucially, the adversary producing snapshot ``G(t)`` may look at the
 set of informed nodes at the beginning of step ``t`` — the paper's lower-bound
 constructions (Sections 4, 5.1 and 6) all do.  The interface therefore hands
-the informed set to :meth:`DynamicNetwork.graph_for_step`.
+the informed set to :meth:`DynamicNetwork.snapshot_for_step`, which returns
+``G(t)`` as a :class:`repro.graphs.csr.CsrSnapshot`.
 
 Simulators drive a network like this::
 
     network.reset(rng)
-    g0 = network.graph_for_step(0, informed)
+    g0 = network.snapshot_for_step(0, informed)
     ... simulate continuous time in [0, 1) on g0 ...
-    g1 = network.graph_for_step(1, informed)
+    g1 = network.snapshot_for_step(1, informed)
     ... and so on ...
 
-``reset`` must be called before each independent run; ``graph_for_step`` must
-be called with strictly increasing ``t`` within a run (adaptive constructions
-keep per-run state such as "re-use the previous snapshot").
+``reset`` must be called before each independent run; ``snapshot_for_step``
+must be called with strictly increasing ``t`` within a run (adaptive
+constructions keep per-run state such as "re-use the previous snapshot").  A
+network that keeps its snapshot across steps returns the same object, which
+lets the engines skip rebuilding their contact rates.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
-
-import networkx as nx
+from typing import AbstractSet, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.graphs.csr import CsrSnapshot
-from repro.graphs.metrics import GraphMetrics, absolute_diligence, measure_graph
+from repro.graphs.metrics import GraphMetrics, measure_graph
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require
 
@@ -37,9 +38,11 @@ from repro.utils.validation import require
 class DynamicNetwork(ABC):
     """Abstract base class for dynamic evolving networks.
 
-    Subclasses must implement :meth:`_build_step`; the base class enforces the
-    call protocol (reset before use, non-decreasing time steps) and offers
-    optional analytic metrics for the bounds of Theorems 1.1 and 1.3.
+    Subclasses implement :meth:`_build_snapshot_step`, which returns snapshot
+    ``G(t)`` in CSR form with compact ids in :attr:`nodes` order.  The base
+    class enforces the call protocol (reset before use, increasing time steps)
+    and the node order, and offers optional analytic metrics for the bounds of
+    Theorems 1.1 and 1.3.
     """
 
     def __init__(self, nodes: Sequence[Hashable]):
@@ -51,9 +54,6 @@ class DynamicNetwork(ABC):
         self._node_set: FrozenSet[Hashable] = node_set
         self._last_step: Optional[int] = None
         self._was_reset = False
-        # One-entry cache for the default nx -> CSR snapshot adapter.
-        self._adapter_graph: Optional[nx.Graph] = None
-        self._adapter_snapshot: Optional[CsrSnapshot] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -99,30 +99,18 @@ class DynamicNetwork(ABC):
         if self._last_step is not None:
             require(
                 t > self._last_step,
-                f"graph_for_step must be called with increasing t "
+                f"snapshot_for_step must be called with increasing t "
                 f"(got {t} after {self._last_step})",
             )
         self._last_step = t
 
-    def graph_for_step(self, t: int, informed: AbstractSet[Hashable]) -> nx.Graph:
+    def snapshot_for_step(self, t: int, informed: AbstractSet[Hashable]) -> CsrSnapshot:
         """Return the snapshot ``G(t)`` governing the interval ``[t, t+1)``.
 
         ``informed`` is the set of informed nodes at the beginning of step
-        ``t``; oblivious networks ignore it, adaptive ones may not.
-        """
-        self._advance_step(t)
-        graph = self._build_step(t, frozenset(informed))
-        self._check_snapshot(graph)
-        return graph
-
-    def snapshot_for_step(self, t: int, informed: AbstractSet[Hashable]) -> CsrSnapshot:
-        """Return snapshot ``G(t)`` as a :class:`CsrSnapshot` (engine fast path).
-
-        Compact ids follow :attr:`nodes` order, so they are stable across all
-        snapshots of a run.  The default implementation adapts
-        :meth:`_build_step`'s networkx output; constructions with an obvious
-        array form override :meth:`_build_snapshot_step` to emit CSR directly
-        and never materialise a dict-of-dict graph on the hot path.
+        ``t``; oblivious networks ignore it, adaptive ones may not.  Compact
+        ids follow :attr:`nodes` order, so they are stable across all
+        snapshots of a run.
         """
         self._advance_step(t)
         snapshot = self._build_snapshot_step(t, frozenset(informed))
@@ -135,31 +123,8 @@ class DynamicNetwork(ABC):
         return snapshot
 
     @abstractmethod
-    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
-        """Build (or retrieve) the snapshot for step ``t``."""
-
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
-        """Build the CSR snapshot for step ``t`` (default: adapt ``_build_step``).
-
-        The adapter caches the last conversion keyed by graph identity, so
-        networks that return the same graph object across steps (static and
-        explicit-sequence networks) pay the conversion once, and the engines'
-        ``snapshot is previous_snapshot`` rebuild-elision keeps working.
-        """
-        graph = self._build_step(t, informed)
-        if graph is not None and graph is self._adapter_graph:
-            return self._adapter_snapshot
-        self._check_snapshot(graph)
-        snapshot = CsrSnapshot.from_networkx(graph, nodes=self._nodes)
-        self._adapter_graph = graph
-        self._adapter_snapshot = snapshot
-        return snapshot
-
-    def _check_snapshot(self, graph: nx.Graph) -> None:
-        require(
-            graph.number_of_nodes() == self.n and self._node_set.issuperset(graph.nodes()),
-            "snapshot node set differs from the dynamic network's node set",
-        )
+        """Build (or retrieve) the CSR snapshot for step ``t``."""
 
     # -- analytic metrics ----------------------------------------------------
 
@@ -218,48 +183,29 @@ class SnapshotRecorder:
         self,
         network: DynamicNetwork,
         t: int,
-        graph: Union[nx.Graph, CsrSnapshot],
+        snapshot: CsrSnapshot,
         informed_count: int,
     ) -> None:
-        """Record snapshot ``graph`` used at step ``t``.
-
-        Accepts either representation a simulator may be driving: a networkx
-        graph or a :class:`CsrSnapshot`.  Both modes measure CSR snapshots on
-        their arrays; only "full" mode estimates on graphs too large for exact
-        enumeration convert to networkx.
-        """
-        snapshot = graph if isinstance(graph, CsrSnapshot) else None
+        """Record ``snapshot``, the graph used at step ``t``."""
         metrics: Optional[GraphMetrics] = None
         if self._prefer_known:
             metrics = network.known_step_metrics(t)
         if metrics is None and self._mode == "full":
-            metrics = measure_graph(graph, sampled_cuts=self._sampled_cuts, rng=self._rng)
+            metrics = measure_graph(snapshot, sampled_cuts=self._sampled_cuts, rng=self._rng)
         if metrics is None:
             # Cheap record: only the quantities Theorem 1.3 needs.
-            if snapshot is not None:
-                connected = snapshot.is_connected()
-                rho_abs = snapshot.absolute_diligence()
-                n = snapshot.n
-            else:
-                connected = graph.number_of_edges() > 0 and nx.is_connected(graph)
-                rho_abs = absolute_diligence(graph)
-                n = graph.number_of_nodes()
             metrics = GraphMetrics(
                 conductance=float("nan"),
                 diligence=float("nan"),
-                absolute_diligence=rho_abs,
-                connected=connected,
-                n=n,
+                absolute_diligence=snapshot.absolute_diligence(),
+                connected=snapshot.is_connected(),
+                n=snapshot.n,
                 exact=False,
             )
         self.steps.append(RecordedStep(t=t, metrics=metrics, informed_count=informed_count))
         if self._track_degrees:
-            if snapshot is not None:
-                for node, degree in zip(snapshot.nodes, snapshot.degrees):
-                    self.degree_history.setdefault(node, []).append(int(degree))
-            else:
-                for node in graph.nodes():
-                    self.degree_history.setdefault(node, []).append(graph.degree(node))
+            for node, degree in zip(snapshot.nodes, snapshot.degrees):
+                self.degree_history.setdefault(node, []).append(int(degree))
 
     def conductance_series(self) -> List[float]:
         """Per-step conductance values in step order."""

@@ -21,19 +21,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, Optional
 
 from repro.dynamics.base import DynamicNetwork
 from repro.graphs.csr import CsrSnapshot
 from repro.graphs.generators import (
-    bridged_double_clique,
     bridged_double_clique_csr,
-    clique_with_pendant,
     clique_with_pendant_csr,
     dynamic_star_csr,
-    dynamic_star_graph,
 )
 from repro.graphs.metrics import GraphMetrics
 from repro.utils.validation import require_node_count
@@ -50,29 +45,19 @@ class CliqueBridgeNetwork(DynamicNetwork):
         require_node_count(n, minimum=4)
         self._clique_size = n
         super().__init__(list(range(1, n + 2)))
-        # Snapshots keyed by (t > 0, as CSR), built on first use and reused,
-        # so runs that only read CSR never build the networkx twins.
-        self._stages: Dict[Tuple[bool, bool], object] = {}
+        # The two snapshots, keyed by ``t > 0``, built on first use and reused.
+        self._stages: Dict[bool, CsrSnapshot] = {}
 
     def default_source(self) -> Hashable:
         """The pendant node ``n + 1`` (the square node of Figure 1(a))."""
         return self._clique_size + 1
 
-    def _stage(self, t: int, csr: bool):
-        key = (t > 0, csr)
-        if key not in self._stages:
-            builders = (
-                (clique_with_pendant, clique_with_pendant_csr),
-                (bridged_double_clique, bridged_double_clique_csr),
-            )
-            self._stages[key] = builders[t > 0][csr](self._clique_size)
-        return self._stages[key]
-
-    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
-        return self._stage(t, csr=False)
-
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
-        return self._stage(t, csr=True)
+        later = t > 0
+        if later not in self._stages:
+            builder = bridged_double_clique_csr if later else clique_with_pendant_csr
+            self._stages[later] = builder(self._clique_size)
+        return self._stages[later]
 
     def known_step_metrics(self, t: int) -> Optional[GraphMetrics]:
         n = self._clique_size
@@ -140,12 +125,7 @@ class DynamicStarNetwork(DynamicNetwork):
         self._last_center = center
         return center
 
-    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
-        return dynamic_star_graph(self._leaves + 1, self._center_for(t, informed))
-
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
-        # Same centre-selection logic (and RNG draws) as the networkx path,
-        # but the star snapshot is emitted directly in CSR form.
         return dynamic_star_csr(self._leaves + 1, self._center_for(t, informed))
 
     def known_step_metrics(self, t: int) -> Optional[GraphMetrics]:

@@ -20,11 +20,10 @@ never suffices to cross it, giving the ``Ω(nρ/k)`` lower bound.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Optional, Sequence
-
-import networkx as nx
+from typing import Hashable, Optional
 
 from repro.dynamics.base import DynamicNetwork
+from repro.graphs.csr import CsrSnapshot
 from repro.graphs.hk_delta import HkDeltaGraph, build_hk_delta, minimum_side_sizes
 from repro.graphs.metrics import GraphMetrics
 from repro.utils.rng import RngLike, ensure_rng
@@ -85,6 +84,7 @@ class DiligentDynamicNetwork(DynamicNetwork):
         self._run_rng = None
         self._part_b: Optional[frozenset] = None
         self._current: Optional[HkDeltaGraph] = None
+        self._snapshot: Optional[CsrSnapshot] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -96,29 +96,32 @@ class DiligentDynamicNetwork(DynamicNetwork):
         self._run_rng = rng
         self._part_b = frozenset(range(self._size_a0, self.n))
         self._current = None
+        self._snapshot = None
 
-    def _rebuild(self, part_b: frozenset) -> HkDeltaGraph:
+    def _rebuild(self, part_b: frozenset) -> None:
         part_a = [u for u in self.nodes if u not in part_b]
-        return build_hk_delta(
+        self._current = build_hk_delta(
             part_a=part_a,
             part_b=sorted(part_b),
             k=self.k,
             delta=self.delta,
             rng=self._run_rng,
         )
+        self._snapshot = CsrSnapshot.from_networkx(self._current.graph, nodes=self._nodes)
 
-    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
+    def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
         if t == 0 or self._current is None:
-            self._current = self._rebuild(self._part_b)
-            return self._current.graph
+            self._rebuild(self._part_b)
+            return self._snapshot
         new_b = self._part_b - informed
         min_a, min_b = minimum_side_sizes(self.k, self.delta)
         shrank = len(new_b) < len(self._part_b)
         big_enough = len(new_b) >= max(self.n // 4, min_b)
         if shrank and big_enough:
             self._part_b = new_b
-            self._current = self._rebuild(new_b)
-        return self._current.graph
+            self._rebuild(new_b)
+        # Unchanged steps return the same object, so engines skip the rate rebuild.
+        return self._snapshot
 
     # -- analytic metrics ------------------------------------------------------
 

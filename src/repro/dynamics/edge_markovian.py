@@ -11,13 +11,12 @@ bound on networks that are neither static nor adversarial.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence
+from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.dynamics.base import DynamicNetwork
-from repro.graphs.csr import CsrSnapshot
+from repro.graphs.csr import CsrSnapshot, GraphLike, as_snapshot
 from repro.graphs.generators import condensed_to_pair, pair_to_condensed
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require, require_node_count, require_probability
@@ -36,9 +35,9 @@ class EdgeMarkovianNetwork(DynamicNetwork):
         Probability ``q`` that a currently present edge disappears at the next
         step.
     initial_graph:
-        Snapshot at ``t = 0``.  Defaults to a sample from the stationary
-        distribution, an Erdős–Rényi graph with edge probability
-        ``p / (p + q)``.
+        Snapshot at ``t = 0`` (networkx or CSR).  Defaults to a sample from
+        the stationary distribution, an Erdős–Rényi graph with edge
+        probability ``p / (p + q)``.
     rng:
         Seed / generator.  ``reset`` derives a per-run generator, so repeated
         runs see independent trajectories unless seeded explicitly.
@@ -49,7 +48,7 @@ class EdgeMarkovianNetwork(DynamicNetwork):
         n: int,
         birth_probability: float,
         death_probability: float,
-        initial_graph: Optional[nx.Graph] = None,
+        initial_graph: Optional[GraphLike] = None,
         rng: RngLike = None,
     ):
         require_node_count(n, minimum=2)
@@ -62,17 +61,23 @@ class EdgeMarkovianNetwork(DynamicNetwork):
         super().__init__(list(range(n)))
         self.birth_probability = birth_probability
         self.death_probability = death_probability
-        self._initial_graph = None
+        # Condensed upper-triangle edge state of ``initial_graph``, if given.
+        self._initial_state: Optional[np.ndarray] = None
         if initial_graph is not None:
+            initial = as_snapshot(initial_graph)
             require(
-                set(initial_graph.nodes()) == set(self.nodes),
+                set(initial.nodes) == set(self.nodes),
                 "initial_graph must be on nodes 0..n-1",
             )
-            self._initial_graph = initial_graph.copy()
+            labels = np.asarray(initial.nodes, dtype=np.int64)
+            u_labels = labels[initial.row_owner]
+            v_labels = labels[initial.indices]
+            forward = u_labels < v_labels
+            self._initial_state = np.zeros(n * (n - 1) // 2, dtype=bool)
+            self._initial_state[pair_to_condensed(u_labels[forward], v_labels[forward], n)] = True
         self._base_rng = ensure_rng(rng)
         self._run_rng = None
-        self._current: Optional[nx.Graph] = None
-        # Condensed upper-triangle edge state for the vectorised CSR fast path.
+        # Condensed upper-triangle edge state of the current snapshot.
         self._edge_state: Optional[np.ndarray] = None
 
     def stationary_edge_probability(self) -> float:
@@ -81,66 +86,23 @@ class EdgeMarkovianNetwork(DynamicNetwork):
 
     def _on_reset(self, rng) -> None:
         self._run_rng = rng
-        self._current = None
         self._edge_state = None
-
-    def _sample_initial(self) -> nx.Graph:
-        if self._initial_graph is not None:
-            return self._initial_graph.copy()
-        probability = self.stationary_edge_probability()
-        seed = int(self._run_rng.integers(0, 2**32 - 1))
-        graph = nx.gnp_random_graph(self.n, probability, seed=seed)
-        return graph
-
-    def _evolve(self, graph: nx.Graph) -> nx.Graph:
-        nxt = nx.Graph()
-        nxt.add_nodes_from(self.nodes)
-        nodes = list(self.nodes)
-        rng = self._run_rng
-        p = self.birth_probability
-        q = self.death_probability
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1:]:
-                if graph.has_edge(u, v):
-                    if rng.random() >= q:
-                        nxt.add_edge(u, v)
-                else:
-                    if rng.random() < p:
-                        nxt.add_edge(u, v)
-        return nxt
-
-    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
-        if t == 0 or self._current is None:
-            self._current = self._sample_initial()
-        else:
-            self._current = self._evolve(self._current)
-        return self._current
-
-    # -- CSR fast path -----------------------------------------------------
-
-    def _initial_edge_state(self) -> np.ndarray:
-        """Condensed (upper-triangle) boolean edge state for ``t = 0``."""
-        pair_count = self.n * (self.n - 1) // 2
-        if self._initial_graph is not None:
-            state = np.zeros(pair_count, dtype=bool)
-            if self._initial_graph.number_of_edges():
-                endpoints = np.array(
-                    [sorted((u, v)) for u, v in self._initial_graph.edges()], dtype=np.int64
-                )
-                state[pair_to_condensed(endpoints[:, 0], endpoints[:, 1], self.n)] = True
-            return state
-        return self._run_rng.random(pair_count) < self.stationary_edge_probability()
 
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
         """Evolve every potential edge's Markov chain in one vectorised sweep.
 
         The chain is kept as a condensed boolean vector over the ``n(n-1)/2``
-        node pairs; one uniform draw per pair decides survival (``r ≥ q``) or
-        birth (``r < p``), exactly the per-pair law of :meth:`_evolve` without
-        the O(n²) Python loop, and the snapshot is emitted directly in CSR.
+        node pairs.  Step 0 is ``initial_graph`` or, by default, one uniform
+        draw per pair against the stationary probability ``p / (p + q)``.
+        Each later step draws one uniform per pair, which decides survival
+        (``r ≥ q``) of a present edge or birth (``r < p``) of an absent one.
         """
         if t == 0 or self._edge_state is None:
-            self._edge_state = self._initial_edge_state()
+            if self._initial_state is not None:
+                self._edge_state = self._initial_state
+            else:
+                pairs = self.n * (self.n - 1) // 2
+                self._edge_state = self._run_rng.random(pairs) < self.stationary_edge_probability()
         else:
             draws = self._run_rng.random(len(self._edge_state))
             self._edge_state = np.where(

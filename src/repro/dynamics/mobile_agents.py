@@ -21,6 +21,7 @@ import networkx as nx
 import numpy as np
 
 from repro.dynamics.base import DynamicNetwork
+from repro.graphs.csr import CsrSnapshot
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require, require_node_count, require_positive
 
@@ -109,11 +110,11 @@ class MobileAgentsNetwork(DynamicNetwork):
                                 graph.add_edge(a, b)
         return graph
 
-    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
+    def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
         require(self._positions is not None, "call reset() before requesting snapshots")
         if t > 0:
             self._step_walk()
-        return self._proximity_graph()
+        return CsrSnapshot.from_networkx(self._proximity_graph(), nodes=self._nodes)
 
 
 __all__ = ["MobileAgentsNetwork"]

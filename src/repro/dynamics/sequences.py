@@ -14,12 +14,12 @@ not depend on the informed set.  They cover
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Sequence, Union
+from typing import Callable, Hashable, List, Optional, Sequence
 
 import networkx as nx
 
 from repro.dynamics.base import DynamicNetwork
-from repro.graphs.csr import CsrSnapshot
+from repro.graphs.csr import CsrSnapshot, GraphLike
 from repro.graphs.metrics import EXACT_ENUMERATION_LIMIT, GraphMetrics, measure_graph
 from repro.utils.validation import require
 
@@ -27,88 +27,71 @@ from repro.utils.validation import require
 class StaticDynamicNetwork(DynamicNetwork):
     """A static graph exposed at every time step.
 
-    Accepts either a ``networkx.Graph`` or a :class:`CsrSnapshot` (so the
-    CSR-native generators feed the engines without ever building a
-    dict-of-dict graph); the other representation is derived lazily on first
-    use.  Precomputes the snapshot metrics once (they never change), so bound
+    Accepts either a ``networkx.Graph`` (converted to CSR once, here) or a
+    :class:`CsrSnapshot`, and returns that one snapshot at every step.
+    Precomputes the snapshot metrics once (they never change), so bound
     evaluation on small static-as-dynamic networks is cheap.
     """
 
     def __init__(
         self,
-        graph: Union[nx.Graph, CsrSnapshot],
+        graph: GraphLike,
         precompute_metrics: bool = True,
         metrics: Optional[GraphMetrics] = None,
     ):
-        if isinstance(graph, CsrSnapshot):
-            self._graph: Optional[nx.Graph] = None
-            self._snapshot: Optional[CsrSnapshot] = graph
-            nodes = graph.nodes
-        else:
-            self._graph = graph.copy()
-            self._snapshot = None
-            nodes = list(graph.nodes())
-        require(len(nodes) >= 1, "graph must have at least one node")
-        super().__init__(nodes)
+        snapshot = graph if isinstance(graph, CsrSnapshot) else CsrSnapshot.from_networkx(
+            graph, cache_graph=False
+        )
+        require(snapshot.n >= 1, "graph must have at least one node")
+        super().__init__(snapshot.nodes)
+        self._snapshot = snapshot
         self._metrics = metrics
-        if metrics is None and precompute_metrics and len(nodes) <= EXACT_ENUMERATION_LIMIT:
-            self._metrics = measure_graph(graph)
-
-    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
-        return self.graph
+        if metrics is None and precompute_metrics and snapshot.n <= EXACT_ENUMERATION_LIMIT:
+            self._metrics = measure_graph(snapshot)
 
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
-        return self.materialise()
-
-    def materialise(self) -> CsrSnapshot:
-        """Convert to CSR now (idempotent) and return the cached snapshot.
-
-        The cache is identity-keyed on this network object and survives
-        ``reset``, so converting once in a parent process before forking
-        means every worker inherits the adapter through copy-on-write
-        instead of re-deriving it per sub-batch.
-        """
-        if self._snapshot is None:
-            self._snapshot = CsrSnapshot.from_networkx(self._graph, nodes=self._nodes)
         return self._snapshot
 
     def known_step_metrics(self, t: int) -> Optional[GraphMetrics]:
         return self._metrics
 
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying static graph (shared, do not mutate)."""
-        if self._graph is None:
-            self._graph = self._snapshot.to_networkx()
-        return self._graph
-
 
 class ExplicitSequenceNetwork(DynamicNetwork):
     """A dynamic network given by an explicit list of snapshots.
 
-    After the list is exhausted the network either holds the last snapshot
-    (``cycle=False``, the default — matching the paper's constructions where
-    ``G(t) = G(1)`` for all ``t ≥ 1``) or cycles through the list again
-    (``cycle=True``).
+    Snapshots may be ``networkx.Graph`` or :class:`CsrSnapshot` objects; all
+    are held as CSR in snapshot 0's node order.  After the list is exhausted
+    the network either holds the last snapshot (``cycle=False``, the default
+    — matching the paper's constructions where ``G(t) = G(1)`` for all
+    ``t ≥ 1``) or cycles through the list again (``cycle=True``).
     """
 
     def __init__(
         self,
-        graphs: Sequence[nx.Graph],
+        graphs: Sequence[GraphLike],
         cycle: bool = False,
         metrics: Optional[Sequence[Optional[GraphMetrics]]] = None,
     ):
         graphs = list(graphs)
         require(len(graphs) >= 1, "need at least one snapshot")
-        node_set = set(graphs[0].nodes())
+        first = graphs[0]
+        super().__init__(first.nodes if isinstance(first, CsrSnapshot) else list(first.nodes()))
+        # One snapshot object per index: periodic alternations repeat the same
+        # objects, so the engines skip rate rebuilds on them.
+        self._snapshots: List[CsrSnapshot] = []
         for index, graph in enumerate(graphs):
+            labels = graph.nodes if isinstance(graph, CsrSnapshot) else graph.nodes()
             require(
-                set(graph.nodes()) == node_set,
+                set(labels) == self.node_set,
                 f"snapshot {index} has a different node set from snapshot 0",
             )
-        super().__init__(list(graphs[0].nodes()))
-        self._graphs = [g.copy() for g in graphs]
-        self._snapshots: List[Optional[CsrSnapshot]] = [None] * len(graphs)
+            if not isinstance(graph, CsrSnapshot):
+                graph = CsrSnapshot.from_networkx(graph, nodes=self.nodes, cache_graph=False)
+            require(
+                graph.nodes == self.nodes,
+                f"snapshot {index} lists its nodes in a different order from snapshot 0",
+            )
+            self._snapshots.append(graph)
         self._cycle = cycle
         if metrics is not None:
             require(len(metrics) == len(graphs), "metrics must align with graphs")
@@ -117,24 +100,14 @@ class ExplicitSequenceNetwork(DynamicNetwork):
             self._metrics = [None] * len(graphs)
 
     def _index_for(self, t: int) -> int:
-        if t < len(self._graphs):
+        if t < len(self._snapshots):
             return t
         if self._cycle:
-            return t % len(self._graphs)
-        return len(self._graphs) - 1
-
-    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
-        return self._graphs[self._index_for(t)]
+            return t % len(self._snapshots)
+        return len(self._snapshots) - 1
 
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
-        # Per-index cache so periodic alternations keep snapshot identity
-        # stable (the engines skip rate rebuilds on identical snapshots).
-        index = self._index_for(t)
-        if self._snapshots[index] is None:
-            self._snapshots[index] = CsrSnapshot.from_networkx(
-                self._graphs[index], nodes=self._nodes
-            )
-        return self._snapshots[index]
+        return self._snapshots[self._index_for(t)]
 
     def known_step_metrics(self, t: int):
         return self._metrics[self._index_for(t)]
@@ -143,7 +116,7 @@ class ExplicitSequenceNetwork(DynamicNetwork):
 class PeriodicSequenceNetwork(ExplicitSequenceNetwork):
     """A dynamic network cycling through a fixed list of snapshots forever."""
 
-    def __init__(self, graphs: Sequence[nx.Graph], metrics=None):
+    def __init__(self, graphs: Sequence[GraphLike], metrics=None):
         super().__init__(graphs, cycle=True, metrics=metrics)
 
 
@@ -164,8 +137,8 @@ class CallableDynamicNetwork(DynamicNetwork):
         self._builder = builder
         self._metrics_fn = metrics
 
-    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
-        return self._builder(t)
+    def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
+        return CsrSnapshot.from_networkx(self._builder(t), nodes=self._nodes)
 
     def known_step_metrics(self, t: int) -> Optional[GraphMetrics]:
         if self._metrics_fn is None:

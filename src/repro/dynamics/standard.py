@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.dynamics.sequences import PeriodicSequenceNetwork, StaticDynamicNetwork
 from repro.graphs.generators import (
-    clique,
     clique_csr,
     cycle_csr,
     random_regular_expander,
@@ -114,7 +113,7 @@ def alternating_regular_complete_network(
     require(degree * n % 2 == 0, "degree * n must be even")
     gen = ensure_rng(rng)
     regular = random_regular_expander(degree, range(n), rng=gen)
-    complete = clique(range(n))
+    complete = clique_csr(range(n))
     return PeriodicSequenceNetwork(
         [regular, complete],
         metrics=[regular_metrics(n, degree), clique_metrics(n)],

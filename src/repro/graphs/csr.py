@@ -6,7 +6,7 @@ neighbour ids of node ``i``.  Node labels are kept alongside as an ordered
 tuple, so a snapshot round-trips losslessly to and from ``networkx.Graph``.
 
 The representation is the contract between the dynamic-network layer and the
-simulation engines: every :class:`repro.dynamics.base.DynamicNetwork` can emit
+simulation engines: every :class:`repro.dynamics.base.DynamicNetwork` emits its
 snapshots in this form (via ``snapshot_for_step``), and the engines in
 ``repro.core`` index all their per-node state by the compact ids, which lets
 rate updates, weighted selection and whole-round contact generation run as
@@ -192,9 +192,10 @@ class CsrSnapshot:
     ) -> "CsrSnapshot":
         """Build a snapshot from arrays of compact edge endpoints.
 
-        Each undirected edge must appear exactly once (in either direction);
-        self-loops and duplicates are rejected by the degree bookkeeping only
-        in validation of simple use, not exhaustively.
+        Each undirected edge must appear exactly once (in either direction),
+        and no edge may be a self-loop.  Nothing checks this: a duplicate or a
+        self-loop silently yields a multigraph row, so callers must pass
+        simple-graph edges.
         """
         nodes = tuple(nodes)
         n = len(nodes)

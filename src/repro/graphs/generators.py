@@ -3,8 +3,8 @@
 These are the building blocks from which the dynamic networks of Sections 4-6
 are assembled:
 
-* cliques, stars, cycles and paths (standard topologies used for calibration
-  and for the dichotomy networks of Theorem 1.7);
+* cliques, stars, cycles and paths in CSR form (standard topologies used for
+  calibration and for the dichotomy networks of Theorem 1.7);
 * random ``d``-regular expanders with a verified constant spectral gap
   (Section 4 step 2 requires "arbitrary 4-regular expander graphs");
 * ``G(A, d₁, d₂)`` — a connected graph where every node has degree ``d₁``
@@ -36,63 +36,8 @@ EXPANDER_MAX_ATTEMPTS = 25
 
 
 # ---------------------------------------------------------------------------
-# Elementary topologies
+# Section 4 building block
 # ---------------------------------------------------------------------------
-
-def clique(nodes: Iterable[Hashable]) -> nx.Graph:
-    """Return the complete graph on ``nodes``."""
-    nodes = list(nodes)
-    require(len(nodes) >= 1, "clique requires at least one node")
-    graph = nx.Graph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:])
-    return graph
-
-
-def star(center: Hashable, leaves: Iterable[Hashable]) -> nx.Graph:
-    """Return a star with the given ``center`` and ``leaves``."""
-    leaves = list(leaves)
-    require(len(leaves) >= 1, "star requires at least one leaf")
-    require(center not in leaves, "center must not also be a leaf")
-    graph = nx.Graph()
-    graph.add_node(center)
-    graph.add_nodes_from(leaves)
-    graph.add_edges_from((center, leaf) for leaf in leaves)
-    return graph
-
-
-def dynamic_star_graph(n_plus_one: int, center: Hashable) -> nx.Graph:
-    """Return the star over nodes ``0..n`` with the prescribed ``center``.
-
-    This is a single snapshot of the dynamic star ``G2`` of Figure 1(b): the
-    node set is fixed to ``{0, ..., n}`` and only the centre changes between
-    time steps.
-    """
-    require_node_count(n_plus_one, minimum=2, name="n_plus_one")
-    nodes = list(range(n_plus_one))
-    require(center in nodes, f"center {center!r} must be one of the {n_plus_one} nodes")
-    return star(center, [u for u in nodes if u != center])
-
-
-def cycle(nodes: Iterable[Hashable]) -> nx.Graph:
-    """Return the cycle visiting ``nodes`` in the given order."""
-    nodes = list(nodes)
-    require(len(nodes) >= 3, "cycle requires at least three nodes")
-    graph = nx.Graph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(zip(nodes, nodes[1:] + nodes[:1]))
-    return graph
-
-
-def path(nodes: Iterable[Hashable]) -> nx.Graph:
-    """Return the path visiting ``nodes`` in the given order."""
-    nodes = list(nodes)
-    require(len(nodes) >= 2, "path requires at least two nodes")
-    graph = nx.Graph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(zip(nodes, nodes[1:]))
-    return graph
-
 
 def complete_bipartite_chain(clusters: Sequence[Sequence[Hashable]]) -> nx.Graph:
     """Return a "string of complete bipartite graphs" over the given clusters.
@@ -116,7 +61,7 @@ def complete_bipartite_chain(clusters: Sequence[Sequence[Hashable]]) -> nx.Graph
 
 
 # ---------------------------------------------------------------------------
-# CSR-native constructors (no dict-of-dict adjacency on the hot path)
+# Elementary topologies and Figure 1 snapshots, built straight into CSR
 # ---------------------------------------------------------------------------
 
 def _positions(count: int) -> np.ndarray:
@@ -135,8 +80,8 @@ def clique_csr(nodes: Iterable[Hashable]) -> CsrSnapshot:
     """Return the complete graph on ``nodes`` as a :class:`CsrSnapshot`.
 
     Row ``i`` lists ``i+1, …, n−1, 0, …, i−1``: exactly the arrays
-    ``CsrSnapshot.from_networkx(clique(nodes))`` produces, so the engines
-    draw the same neighbours from either construction.
+    ``CsrSnapshot.from_networkx`` produces from ``networkx.complete_graph``
+    on the same nodes, so the engines draw the same neighbours from either.
     """
     nodes = list(nodes)
     n = len(nodes)
@@ -191,8 +136,8 @@ def dynamic_star_csr(n_plus_one: int, center: Hashable) -> CsrSnapshot:
 def cycle_csr(nodes: Iterable[Hashable]) -> CsrSnapshot:
     """Return the cycle visiting ``nodes`` in order as a :class:`CsrSnapshot`.
 
-    Row ``i`` lists ``(i+1, i−1) mod n``, the order
-    ``CsrSnapshot.from_networkx(cycle(nodes))`` produces.
+    Row ``i`` lists ``(i+1, i−1) mod n``, the order ``CsrSnapshot.from_networkx``
+    produces from a networkx cycle built in the same node order.
     """
     nodes = list(nodes)
     n = len(nodes)
@@ -206,7 +151,8 @@ def path_csr(nodes: Iterable[Hashable]) -> CsrSnapshot:
     """Return the path visiting ``nodes`` in order as a :class:`CsrSnapshot`.
 
     Row ``i`` lists ``(i+1, i−1)``, keeping only the ends that exist: the
-    order ``CsrSnapshot.from_networkx(path(nodes))`` produces.
+    order ``CsrSnapshot.from_networkx`` produces from a networkx path built
+    in the same node order.
     """
     nodes = list(nodes)
     n = len(nodes)
@@ -226,7 +172,11 @@ def _clique_edge_ids(member_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def clique_with_pendant_csr(n: int) -> CsrSnapshot:
-    """CSR form of :func:`clique_with_pendant` (labels ``1..n+1``, pendant last)."""
+    """``G(0)`` of ``G1`` in Figure 1(a): an ``n``-clique plus a pendant node.
+
+    The clique holds labels ``1..n``; the pendant ``n + 1`` holds the rumor
+    and is joined only to node 1.
+    """
     require_node_count(n, minimum=2)
     core_u, core_v = _clique_edge_ids(np.arange(n, dtype=np.int64))
     u_ids = np.concatenate([core_u, np.array([0], dtype=np.int64)])
@@ -235,10 +185,10 @@ def clique_with_pendant_csr(n: int) -> CsrSnapshot:
 
 
 def bridged_double_clique_csr(n: int) -> CsrSnapshot:
-    """CSR form of :func:`bridged_double_clique` on labels ``1..n+1``.
+    """``G(t ≥ 1)`` of ``G1`` in Figure 1(a): two cliques joined by one bridge.
 
-    Matches the networkx construction exactly: the left clique holds node 1,
-    the right clique holds node ``n+1``, joined by the bridge ``{1, n+1}``.
+    On labels ``1..n+1``, the left clique of ``⌈(n+1)/2⌉`` nodes holds node 1,
+    the right clique holds node ``n+1``, and the bridge is ``{1, n+1}``.
     """
     require_node_count(n, minimum=3)
     total = n + 1
@@ -546,52 +496,11 @@ def near_regular_with_hub(
     return graph, hub
 
 
-# ---------------------------------------------------------------------------
-# Figure 1(a) building blocks
-# ---------------------------------------------------------------------------
-
-def clique_with_pendant(n: int, pendant: Hashable = None) -> nx.Graph:
-    """Return an ``n``-node clique ``{1..n}`` plus a pendant node attached to node 1.
-
-    This is ``G(0)`` of the dynamic network ``G1`` in Figure 1(a): node
-    ``n + 1`` (the pendant) initially knows the rumor and is connected only to
-    node 1.  Nodes are labelled ``1..n`` with the pendant labelled ``n + 1``
-    unless an explicit ``pendant`` label is given.
-    """
-    require_node_count(n, minimum=2)
-    core = clique(range(1, n + 1))
-    pendant_label = (n + 1) if pendant is None else pendant
-    require(pendant_label not in core, "pendant label clashes with a clique node")
-    core.add_edge(1, pendant_label)
-    return core
-
-
-def bridged_double_clique(n: int) -> nx.Graph:
-    """Return two equal cliques joined by a single bridge edge.
-
-    This is ``G(1)`` (and all later snapshots) of ``G1`` in Figure 1(a): the
-    left clique contains node 1, the right clique contains node ``n + 1``, and
-    the bridge is the edge ``{1, n + 1}``.  The total node count is ``n + 1``
-    with the two cliques of size ``⌈(n+1)/2⌉`` and ``⌊(n+1)/2⌋``.
-    """
-    require_node_count(n, minimum=3)
-    total = n + 1
-    left_size = (total + 1) // 2
-    left_nodes = [1] + [u for u in range(2, total + 1) if u != n + 1][: left_size - 1]
-    right_nodes = [u for u in range(1, total + 1) if u not in set(left_nodes)]
-    require(n + 1 in right_nodes, "internal error: node n+1 must be in the right clique")
-    graph = nx.compose(clique(left_nodes), clique(right_nodes))
-    graph.add_edge(1, n + 1)
-    return graph
-
-
 __all__ = [
     "EXPANDER_GAP_THRESHOLD",
     "EXPANDER_MAX_ATTEMPTS",
     "ER_SAMPLING_CHUNK",
-    "bridged_double_clique",
     "bridged_double_clique_csr",
-    "clique",
     "clique_csr",
     "clique_with_pendant_csr",
     "condensed_to_pair",
@@ -601,14 +510,9 @@ __all__ = [
     "pair_to_condensed",
     "path_csr",
     "star_csr",
-    "clique_with_pendant",
     "complete_bipartite_chain",
-    "cycle",
-    "dynamic_star_graph",
     "near_regular_with_hub",
-    "path",
     "random_regular_expander",
     "regular_connected_graph",
     "spectral_gap",
-    "star",
 ]

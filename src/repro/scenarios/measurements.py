@@ -269,8 +269,8 @@ def _measure_bound_series(point: ScenarioPoint) -> Dict[str, Any]:
     network.reset(int(run_seq.generate_state(1)[0]))
     horizon = int(math.ceil(theorem_1_1_threshold(n, c) / min_per_step_budget)) + 10
     for step in range(horizon):
-        graph = network.graph_for_step(step, frozenset())
-        recorder.record(network, step, graph, informed_count=1)
+        snapshot = network.snapshot_for_step(step, frozenset())
+        recorder.record(network, step, snapshot, informed_count=1)
     ours = conductance_diligence_bound(
         recorder.conductance_series(), recorder.diligence_series(), n, c
     )
@@ -307,10 +307,10 @@ def _measure_sequence_bound_estimate(point: ScenarioPoint) -> Dict[str, Any]:
     threshold = theorem_1_1_threshold(n, c)
     budgets = []
     for step in range(sample_steps):
-        graph = network.graph_for_step(step, frozenset())
+        snapshot = network.snapshot_for_step(step, frozenset())
         metrics = network.known_step_metrics(step)
         if metrics is None:
-            metrics = measure_graph(graph)
+            metrics = measure_graph(snapshot)
         budgets.append(metrics.conductance * metrics.diligence)
     average = sum(budgets) / len(budgets)
     bound = math.inf if average <= 0 else float(math.ceil(threshold / average))

@@ -8,7 +8,7 @@ import pytest
 from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.core.synchronous import SynchronousRumorSpreading
 from repro.dynamics.sequences import StaticDynamicNetwork
-from repro.graphs.generators import clique, cycle, path, star
+from graph_oracles import clique, cycle, path, star
 
 
 @pytest.fixture

@@ -1,10 +1,9 @@
 """Unit tests for the Theorem 1.5 adaptive network (absolute diligence)."""
 
-import networkx as nx
 import pytest
 
 from repro.dynamics.absolute_diligent import AbsolutelyDiligentNetwork, even_delta_for_rho
-from repro.graphs.metrics import absolute_diligence
+from graph_oracles import edge_set
 
 
 class TestEvenDelta:
@@ -39,27 +38,25 @@ class TestConstruction:
     def test_initial_snapshot_structure(self):
         network = AbsolutelyDiligentNetwork(48, 0.25, rng=0)
         network.reset(0)
-        graph = network.graph_for_step(0, frozenset({1}))
-        assert set(graph.nodes()) == set(range(48))
-        assert nx.is_connected(graph)
+        snapshot = network.snapshot_for_step(0, frozenset({1}))
+        assert snapshot.nodes == tuple(range(48))
+        assert snapshot.is_connected()
         # There is exactly one edge between the two halves (the bridge).
         half_a = set(range(24))
-        crossing = [
-            (u, v) for u, v in graph.edges() if (u in half_a) != (v in half_a)
-        ]
+        crossing = [edge for edge in edge_set(snapshot) if len(edge & half_a) == 1]
         assert len(crossing) == 1
 
     def test_absolute_diligence_matches_one_over_delta_plus_one(self):
         network = AbsolutelyDiligentNetwork(48, 0.25, rng=1)
         network.reset(1)
-        graph = network.graph_for_step(0, frozenset({1}))
-        assert absolute_diligence(graph) == pytest.approx(1 / (network.delta + 1))
+        snapshot = network.snapshot_for_step(0, frozenset({1}))
+        assert snapshot.absolute_diligence() == pytest.approx(1 / (network.delta + 1))
 
     def test_large_rho_degrades_base_degree_gracefully(self):
         network = AbsolutelyDiligentNetwork(48, 1.0, rng=2)
         network.reset(2)
-        graph = network.graph_for_step(0, frozenset({1}))
-        assert nx.is_connected(graph)
+        snapshot = network.snapshot_for_step(0, frozenset({1}))
+        assert snapshot.is_connected()
 
     def test_known_metrics(self):
         network = AbsolutelyDiligentNetwork(60, 0.2)
@@ -73,36 +70,37 @@ class TestAdaptivity:
         network = AbsolutelyDiligentNetwork(48, 0.25, rng=3)
         network.reset(3)
         informed = frozenset({1})
-        first = network.graph_for_step(0, informed)
-        second = network.graph_for_step(1, informed)
+        first = network.snapshot_for_step(0, informed)
+        second = network.snapshot_for_step(1, informed)
         assert second is first
 
     def test_snapshot_rebuilt_when_b_shrinks(self):
         network = AbsolutelyDiligentNetwork(48, 0.25, rng=4)
         network.reset(4)
-        first = network.graph_for_step(0, frozenset({1}))
+        first = network.snapshot_for_step(0, frozenset({1}))
         informed = frozenset({1, 30, 31})
-        second = network.graph_for_step(1, informed)
+        second = network.snapshot_for_step(1, informed)
         assert second is not first
         assert not (set(network._part_b) & informed)
 
     def test_bridge_targets_an_uninformed_b_node(self):
         network = AbsolutelyDiligentNetwork(48, 0.25, rng=5)
         network.reset(5)
-        network.graph_for_step(0, frozenset({1}))
+        network.snapshot_for_step(0, frozenset({1}))
         informed = frozenset({1, 30})
-        graph = network.graph_for_step(1, informed)
-        hub = network._hub
-        b_neighbours = [v for v in graph.neighbors(hub) if v in set(network._part_b)]
+        snapshot = network.snapshot_for_step(1, informed)
+        hub_neighbours = snapshot.neighbors(snapshot.index_of[network._hub])
+        labels = [snapshot.nodes[i] for i in hub_neighbours.tolist()]
+        b_neighbours = [v for v in labels if v in set(network._part_b)]
         assert len(b_neighbours) == 1
         assert b_neighbours[0] not in informed
 
     def test_rebuild_stops_when_b_reaches_sixth(self):
         network = AbsolutelyDiligentNetwork(48, 0.25, rng=6)
         network.reset(6)
-        first = network.graph_for_step(0, frozenset({1}))
+        first = network.snapshot_for_step(0, frozenset({1}))
         informed = frozenset(range(45))
-        second = network.graph_for_step(1, informed)
+        second = network.snapshot_for_step(1, informed)
         assert second is first
 
     def test_predictions(self):

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.sweep import SweepResult, sweep
 from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.dynamics.sequences import StaticDynamicNetwork
-from repro.graphs.generators import clique, cycle
+from graph_oracles import clique, cycle
 
 
 def clique_factory(n):

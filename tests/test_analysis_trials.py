@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.trials import DEFAULT_WHP_QUANTILE, TrialSummary, run_trials
 from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.dynamics.sequences import StaticDynamicNetwork
-from repro.graphs.generators import clique, path
+from graph_oracles import clique, path
 
 
 class TestTrialSummary:

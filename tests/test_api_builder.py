@@ -9,8 +9,8 @@ import pytest
 from repro import api
 from repro.core.faults import FaultModel, fault_model_from_data
 from repro.dynamics.sequences import StaticDynamicNetwork
-from repro.graphs.generators import clique
 from repro.scenarios import ExperimentPipeline, Scenario
+from graph_oracles import clique
 
 
 class TestNetworkForms:

@@ -8,7 +8,7 @@ from repro.apps.averaging import run_gossip_averaging
 from repro.apps.resource_discovery import run_resource_discovery
 from repro.dynamics.edge_markovian import EdgeMarkovianNetwork
 from repro.dynamics.sequences import StaticDynamicNetwork
-from repro.graphs.generators import clique, cycle, path
+from graph_oracles import clique, cycle, path
 
 
 class TestGossipAveraging:

@@ -6,11 +6,11 @@ import pytest
 
 from repro.core.asynchronous import AsynchronousRumorSpreading, default_time_limit
 from repro.core.variants import Variant
-from repro.dynamics.base import DynamicNetwork, SnapshotRecorder
+from repro.dynamics.base import SnapshotRecorder
 from repro.dynamics.dichotomy import DynamicStarNetwork
 from repro.dynamics.sequences import ExplicitSequenceNetwork, StaticDynamicNetwork
-from repro.graphs.generators import clique, cycle, path, star
 import networkx as nx
+from graph_oracles import clique, cycle, path, star
 
 
 class TestBasics:
@@ -109,23 +109,6 @@ class TestDisconnectedAndDynamic:
                 return super()._build_snapshot_step(t, informed)
 
         result = async_process.run(Spy(12), rng=0)
-        assert result.completed
-        assert len(observed) > 0
-        assert observed == sorted(observed)
-
-    def test_networkx_only_network_uses_default_snapshot_adapter(self, async_process):
-        # A network that only implements _build_step must still drive the
-        # array engine through the default nx -> CSR adapter.
-        observed = []
-
-        class NxSpy(DynamicStarNetwork):
-            def _build_step(self, t, informed):
-                observed.append(len(informed))
-                return super()._build_step(t, informed)
-
-            _build_snapshot_step = DynamicNetwork._build_snapshot_step
-
-        result = async_process.run(NxSpy(10), rng=1)
         assert result.completed
         assert len(observed) > 0
         assert observed == sorted(observed)

@@ -18,7 +18,7 @@ from repro.bounds.theorems import (
 )
 from repro.dynamics.base import SnapshotRecorder
 from repro.dynamics.sequences import StaticDynamicNetwork
-from repro.graphs.generators import star
+from graph_oracles import star
 
 
 class TestConstants:
@@ -116,8 +116,8 @@ class TestCombinedAndStatic:
         network.reset(0)
         steps = 2 * 10 + int(theorem_1_1_threshold(10)) + 5
         for t in range(steps):
-            graph = network.graph_for_step(t, frozenset())
-            recorder.record(network, t, graph, informed_count=1)
+            snapshot = network.snapshot_for_step(t, frozenset())
+            recorder.record(network, t, snapshot, informed_count=1)
         bundle = bounds_from_recorder(recorder, 10)
         assert bundle["theorem_1_3"].reached
         assert bundle["corollary_1_6"] == min(

@@ -8,30 +8,31 @@ import numpy as np
 import pytest
 
 from repro.api import EventLog
-from repro.graphs import generators
 from repro.graphs.csr import CsrSnapshot, concatenated_neighbors, normalized_laplacian_lambda2
 from repro.graphs.generators import (
-    bridged_double_clique,
     bridged_double_clique_csr,
-    clique,
     clique_csr,
-    clique_with_pendant,
     clique_with_pendant_csr,
     condensed_to_pair,
-    cycle,
     cycle_csr,
     dynamic_star_csr,
-    dynamic_star_graph,
     erdos_renyi_csr,
     pair_to_condensed,
-    path,
-    star,
     star_csr,
 )
 from repro.graphs.metrics import conductance_spectral_bounds
 from repro.scenarios.measurements import measure_point
 from repro.scenarios.networks import build_network
 from repro.scenarios.scenario import Scenario
+from graph_oracles import (
+    bridged_double_clique,
+    clique,
+    clique_with_pendant,
+    cycle,
+    dynamic_star_graph,
+    path,
+    star,
+)
 
 
 def edge_set(snapshot: CsrSnapshot):
@@ -248,7 +249,6 @@ class _BlockScipy(importlib.abc.MetaPathFinder):
 class TestNoNetworkxOrScipy:
     def test_observed_clique_trials_point_builds_no_networkx_graph(self, monkeypatch):
         # The service measures trials points with a streaming observer.
-        monkeypatch.setattr(generators, "clique", _forbidden)
         monkeypatch.setattr(CsrSnapshot, "from_networkx", _forbidden)
         monkeypatch.setattr(nx.Graph, "__init__", _forbidden)
         point = Scenario.from_dict({
@@ -260,14 +260,35 @@ class TestNoNetworkxOrScipy:
         assert payload["summary"]["trials"] == 5
         assert any(event[0] == "event" for event in log.events)
 
+    @pytest.mark.parametrize(
+        ("kind", "network", "params", "options"),
+        [
+            ("sequence_bound_estimate", "edge-markovian",
+             {"n": 10, "birth": 0.3, "death": 0.3}, {"sample_steps": 5}),
+            ("bound_series", "clique-bridge", {"n": 8}, {"min_per_step_budget": 0.2}),
+        ],
+    )
+    def test_bound_points_on_dynamic_families_build_no_networkx_graph(
+        self, monkeypatch, kind, network, params, options
+    ):
+        monkeypatch.setattr(nx.Graph, "__init__", _forbidden)
+        point = Scenario.from_dict({
+            "label": "csr-bounds", "kind": kind, "network": network,
+            "params": params, "seed": 0, "options": options,
+        }).points()[0]
+        payload = measure_point(point)
+        assert payload["n"] == point.build_network().n
+
     def test_expander_and_spectral_bounds_run_without_scipy(self, monkeypatch):
         for name in [name for name in sys.modules if name.split(".")[0] == "scipy"]:
             monkeypatch.delitem(sys.modules, name)
         monkeypatch.setattr(sys, "meta_path", [_BlockScipy(), *sys.meta_path])
         network = build_network("expander", n=32, degree=4, rng=0)
+        network.reset(0)
+        snapshot = network.snapshot_for_step(0, frozenset())
         with pytest.raises(ImportError):
-            nx.normalized_laplacian_matrix(network.graph)
-        low, high = conductance_spectral_bounds(network.graph)
+            nx.normalized_laplacian_matrix(snapshot.to_networkx())
+        low, high = conductance_spectral_bounds(snapshot)
         assert 0 < low <= high
 
     def test_lambda2_equals_networkx_normalized_laplacian(self):

@@ -1,9 +1,16 @@
 """Unit tests for the Figure 1 dichotomy networks G1 and G2."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.dynamics.dichotomy import CliqueBridgeNetwork, DynamicStarNetwork
+from graph_oracles import degree, has_edge
+
+
+def center_of(snapshot):
+    """Label of the highest-degree node (the centre of a star)."""
+    return snapshot.nodes[int(np.argmax(snapshot.degrees))]
 
 
 class TestCliqueBridgeNetwork:
@@ -15,35 +22,22 @@ class TestCliqueBridgeNetwork:
     def test_initial_snapshot_is_clique_with_pendant(self):
         network = CliqueBridgeNetwork(10)
         network.reset(0)
-        graph = network.graph_for_step(0, frozenset({11}))
-        assert graph.degree(11) == 1
-        assert graph.degree(1) == 10
-        assert graph.has_edge(1, 11)
+        snapshot = network.snapshot_for_step(0, frozenset({11}))
+        assert degree(snapshot, 11) == 1
+        assert degree(snapshot, 1) == 10
+        assert has_edge(snapshot, 1, 11)
 
     def test_later_snapshots_are_bridged_cliques(self):
         network = CliqueBridgeNetwork(10)
         network.reset(0)
-        network.graph_for_step(0, frozenset({11}))
-        graph = network.graph_for_step(1, frozenset({11}))
-        copy = graph.copy()
+        network.snapshot_for_step(0, frozenset({11}))
+        snapshot = network.snapshot_for_step(1, frozenset({11}))
+        copy = snapshot.to_networkx().copy()
         copy.remove_edge(1, 11)
         assert not nx.is_connected(copy)
         # All later snapshots are the same object (G(t) = G(1) for t >= 1).
-        assert network.graph_for_step(2, frozenset({11})) is graph
-
-    def test_csr_runs_never_build_the_networkx_twins(self, monkeypatch):
-        import repro.dynamics.dichotomy as dichotomy
-
-        def forbidden(n):
-            raise AssertionError("networkx twin built on the CSR path")
-
-        monkeypatch.setattr(dichotomy, "clique_with_pendant", forbidden)
-        monkeypatch.setattr(dichotomy, "bridged_double_clique", forbidden)
-        network = CliqueBridgeNetwork(10)
-        network.reset(0)
-        snapshots = [network.snapshot_for_step(t, frozenset({11})) for t in range(4)]
-        assert snapshots[0].degree(snapshots[0].index_of[11]) == 1
-        assert snapshots[1] is snapshots[2] is snapshots[3]
+        assert network.snapshot_for_step(2, frozenset({11})) is snapshot
+        assert network.snapshot_for_step(3, frozenset({11})) is snapshot
 
     def test_known_metrics_shapes(self):
         network = CliqueBridgeNetwork(16)
@@ -68,36 +62,33 @@ class TestDynamicStarNetwork:
     def test_initial_center_is_node_zero(self):
         network = DynamicStarNetwork(10)
         network.reset(0)
-        graph = network.graph_for_step(0, frozenset({1}))
-        assert graph.degree(0) == 10
+        snapshot = network.snapshot_for_step(0, frozenset({1}))
+        assert degree(snapshot, 0) == 10
 
     def test_center_is_always_uninformed_when_possible(self):
         network = DynamicStarNetwork(10, randomize=False)
         network.reset(0)
-        network.graph_for_step(0, frozenset({1}))
+        network.snapshot_for_step(0, frozenset({1}))
         informed = frozenset({0, 1, 2, 3})
-        graph = network.graph_for_step(1, informed)
-        center = max(graph.degree, key=lambda item: item[1])[0]
-        assert center not in informed
+        snapshot = network.snapshot_for_step(1, informed)
+        assert center_of(snapshot) not in informed
 
     def test_random_center_is_uninformed(self):
         network = DynamicStarNetwork(10, randomize=True)
         network.reset(7)
-        network.graph_for_step(0, frozenset({1}))
+        network.snapshot_for_step(0, frozenset({1}))
         informed = frozenset({0, 1, 2})
         for t in range(1, 6):
-            graph = network.graph_for_step(t, informed)
-            center = max(graph.degree, key=lambda item: item[1])[0]
-            assert center not in informed
+            snapshot = network.snapshot_for_step(t, informed)
+            assert center_of(snapshot) not in informed
 
     def test_all_informed_picks_some_center(self):
         network = DynamicStarNetwork(5)
         network.reset(3)
-        network.graph_for_step(0, frozenset({1}))
+        network.snapshot_for_step(0, frozenset({1}))
         everyone = frozenset(range(6))
-        graph = network.graph_for_step(1, everyone)
-        center = max(graph.degree, key=lambda item: item[1])[0]
-        assert center in everyone
+        snapshot = network.snapshot_for_step(1, everyone)
+        assert center_of(snapshot) in everyone
 
     def test_known_metrics_are_star_metrics(self):
         metrics = DynamicStarNetwork(8).known_step_metrics(0)
@@ -110,6 +101,5 @@ class TestDynamicStarNetwork:
         network.reset(1)
         informed = frozenset({1})
         for t in range(4):
-            graph = network.graph_for_step(t, informed)
-            degrees = sorted(degree for _, degree in graph.degree())
-            assert degrees == [1] * 7 + [7]
+            snapshot = network.snapshot_for_step(t, informed)
+            assert sorted(snapshot.degrees.tolist()) == [1] * 7 + [7]

@@ -2,7 +2,6 @@
 
 import math
 
-import networkx as nx
 import pytest
 
 from repro.dynamics.diligent import DiligentDynamicNetwork, default_chain_length
@@ -45,16 +44,16 @@ class TestConstruction:
         network = DiligentDynamicNetwork(160, 0.25, rng=0)
         source = network.default_source()
         network.reset(0)
-        network.graph_for_step(0, frozenset({source}))
+        network.snapshot_for_step(0, frozenset({source}))
         assert source in set(range(160 // 4))  # part A initially is nodes 0..n/4-1
         assert source >= network.delta  # not in S_0
 
     def test_initial_snapshot_is_connected_with_right_nodes(self):
         network = DiligentDynamicNetwork(160, 0.25, rng=1)
         network.reset(1)
-        graph = network.graph_for_step(0, frozenset({network.default_source()}))
-        assert set(graph.nodes()) == set(range(160))
-        assert nx.is_connected(graph)
+        snapshot = network.snapshot_for_step(0, frozenset({network.default_source()}))
+        assert snapshot.nodes == tuple(range(160))
+        assert snapshot.is_connected()
 
 
 class TestAdaptivity:
@@ -62,8 +61,8 @@ class TestAdaptivity:
         network = DiligentDynamicNetwork(160, 0.25, rng=2)
         network.reset(2)
         informed = frozenset({network.default_source()})
-        first = network.graph_for_step(0, informed)
-        second = network.graph_for_step(1, informed)
+        first = network.snapshot_for_step(0, informed)
+        second = network.snapshot_for_step(1, informed)
         # No B-node was informed, so the snapshot must be reused verbatim.
         assert second is first
 
@@ -71,10 +70,10 @@ class TestAdaptivity:
         network = DiligentDynamicNetwork(160, 0.25, rng=3)
         network.reset(3)
         source = network.default_source()
-        first = network.graph_for_step(0, frozenset({source}))
+        first = network.snapshot_for_step(0, frozenset({source}))
         # Inform a couple of B-side nodes (B initially is nodes n/4 .. n-1).
         informed = frozenset({source, 60, 61, 62})
-        second = network.graph_for_step(1, informed)
+        second = network.snapshot_for_step(1, informed)
         assert second is not first
         # The freshly informed B nodes must now sit on the A side: they are no
         # longer in any cluster S_1..S_k nor in the B expander; equivalently
@@ -85,16 +84,16 @@ class TestAdaptivity:
         network = DiligentDynamicNetwork(160, 0.25, rng=4)
         network.reset(4)
         source = network.default_source()
-        first = network.graph_for_step(0, frozenset({source}))
+        first = network.snapshot_for_step(0, frozenset({source}))
         # Inform so many B nodes that |B| would fall below n/4.
         informed = frozenset(range(0, 140))
-        second = network.graph_for_step(1, informed)
+        second = network.snapshot_for_step(1, informed)
         assert second is first
 
     def test_known_metrics_match_observation_4_1(self):
         network = DiligentDynamicNetwork(160, 0.25, rng=5)
         network.reset(5)
-        network.graph_for_step(0, frozenset({network.default_source()}))
+        network.snapshot_for_step(0, frozenset({network.default_source()}))
         metrics = network.known_step_metrics(0)
         delta = network.delta
         assert metrics.diligence == pytest.approx(1 / delta)

@@ -17,6 +17,7 @@ Three layers, increasingly end-to-end:
   output is byte-identical to the serial reference.
 """
 
+import http.server
 import json
 import math
 import os
@@ -689,6 +690,85 @@ class TestLongPollWorkers:
         for poll in (-1.0, 20.5, math.nan):
             with pytest.raises(ValueError, match="poll"):
                 run_worker("http://127.0.0.1:9", poll=poll)
+
+
+class _TruncatingCoordinator(http.server.BaseHTTPRequestHandler):
+    """A stub coordinator whose reply to ``truncate`` is cut short.
+
+    Every other route answers like a coordinator with one lease to give.  A
+    cut reply promises a longer ``Content-Length`` than the body it sends and
+    then closes the connection, so the client sees ``IncompleteRead``.
+    """
+
+    truncate = ""
+    requests = []
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        self.requests.append((self.path, json.loads(self.rfile.read(length) or b"{}")))
+        route = "report" if self.path.startswith("/leases/") else self.path
+        replies = {
+            "/workers": {"worker": "w1"},
+            "/leases": {"state": "granted", "leases": [{"lease": "l1"}]},
+            "report": {"ok": True},
+        }
+        body = json.dumps(replies[route]).encode("utf-8")
+        if route == self.truncate:
+            body = body[: len(body) // 2]
+            length = 2 * len(body) + 10
+        else:
+            length = len(body)
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(length))
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+class TestWorkerTruncatedReplies:
+    """A reply cut short means the coordinator is lost, not a crash."""
+
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        def serve(truncate):
+            handler = type("Handler", (_TruncatingCoordinator,),
+                           {"truncate": truncate, "requests": []})
+            server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            servers.append(server)
+            return f"http://127.0.0.1:{server.server_address[1]}", handler.requests
+
+        servers = []
+        monkeypatch.setattr("repro.distributed.worker.execute_lease",
+                            lambda sink, lease, **kwargs: {"cached": False})
+        yield serve
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+
+    def test_truncated_registration_reply_stops_the_worker(self, stub):
+        base, _ = stub("/workers")
+        stats = run_worker(base, sink=MemorySink(), poll=0)
+        assert stats.stopped.startswith("unreachable: ")
+        assert "IncompleteRead" in stats.stopped
+
+    def test_truncated_lease_reply_stops_the_worker(self, stub):
+        base, _ = stub("/leases")
+        stats = run_worker(base, sink=MemorySink(), poll=0)
+        assert stats.stopped.startswith("coordinator lost: ")
+        assert stats.leases == 0
+
+    def test_truncated_success_report_is_not_reported_again_as_a_failure(self, stub):
+        base, requests = stub("report")
+        stats = run_worker(base, sink=MemorySink(), poll=0)
+        assert stats.stopped.startswith("coordinator lost: ")
+        assert (stats.leases, stats.completed, stats.failed) == (1, 0, 0)
+        reports = [document for path, document in requests if path.startswith("/leases/")]
+        assert [report["status"] for report in reports] == ["ok"]
 
 
 def _run_cli(argv, cwd, env=None, timeout=WAIT):

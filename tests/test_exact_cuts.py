@@ -18,14 +18,6 @@ from hypothesis import strategies as st
 import repro.graphs.metrics as metrics
 from repro.dynamics.edge_markovian import EdgeMarkovianNetwork
 from repro.graphs.csr import CsrSnapshot
-from repro.graphs.generators import (
-    bridged_double_clique,
-    clique,
-    clique_with_pendant,
-    cycle,
-    path,
-    star,
-)
 from repro.graphs.metrics import (
     conductance_exact,
     conductance_of_cut,
@@ -34,6 +26,7 @@ from repro.graphs.metrics import (
     measure_graph,
     volume,
 )
+from graph_oracles import bridged_double_clique, clique, clique_with_pendant, cycle, path, star
 
 
 def oracle_conductance(graph: nx.Graph) -> float:
@@ -151,7 +144,7 @@ class TestScanMatchesOracle:
         network = EdgeMarkovianNetwork(12, 0.3, 0.3)
         network.reset(7)
         for step in range(20):
-            assert_matches_oracle(network.graph_for_step(step, frozenset()))
+            assert_matches_oracle(network.snapshot_for_step(step, frozenset()).to_networkx())
 
     def test_chunk_boundary_splits_the_mask_range(self, monkeypatch):
         # 2^9 - 1 = 511 masks in blocks of 7: blocks split mid-range and the

@@ -91,10 +91,11 @@ class TestStandardNetworks:
     def test_alternating_network_alternates(self):
         network = alternating_regular_complete_network(16, rng=0)
         network.reset(0)
-        first = network.graph_for_step(0, frozenset())
-        second = network.graph_for_step(1, frozenset())
-        assert all(degree == 3 for _, degree in first.degree())
-        assert all(degree == 15 for _, degree in second.degree())
+        first = network.snapshot_for_step(0, frozenset())
+        second = network.snapshot_for_step(1, frozenset())
+        assert first.degrees.tolist() == [3] * 16
+        assert second.degrees.tolist() == [15] * 16
+        assert network.snapshot_for_step(2, frozenset()) is first
         assert network.known_step_metrics(0).absolute_diligence == pytest.approx(1 / 3)
 
     def test_constant_rate_bound_helpers(self):

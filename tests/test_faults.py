@@ -8,7 +8,7 @@ from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.core.faults import FaultModel
 from repro.core.synchronous import SynchronousRumorSpreading
 from repro.dynamics.sequences import StaticDynamicNetwork
-from repro.graphs.generators import clique, path
+from graph_oracles import clique, path
 
 
 class TestFaultModel:

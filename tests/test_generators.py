@@ -4,17 +4,19 @@ import networkx as nx
 import pytest
 
 from repro.graphs.generators import (
-    bridged_double_clique,
-    clique,
-    clique_with_pendant,
     complete_bipartite_chain,
-    cycle,
-    dynamic_star_graph,
     near_regular_with_hub,
-    path,
     random_regular_expander,
     regular_connected_graph,
     spectral_gap,
+)
+from graph_oracles import (
+    bridged_double_clique,
+    clique,
+    clique_with_pendant,
+    cycle,
+    dynamic_star_graph,
+    path,
     star,
 )
 

@@ -5,7 +5,6 @@ import math
 import networkx as nx
 import pytest
 
-from repro.graphs.generators import clique, cycle, path, star
 from repro.graphs.metrics import (
     GraphMetrics,
     absolute_diligence,
@@ -22,6 +21,7 @@ from repro.graphs.metrics import (
     measure_graph,
     volume,
 )
+from graph_oracles import clique, cycle, path, star
 
 
 class TestVolumeAndCuts:

@@ -17,7 +17,7 @@ from repro.core.faults import FaultModel
 from repro.core.variants import Variant
 from repro.dynamics.dichotomy import DynamicStarNetwork
 from repro.dynamics.sequences import StaticDynamicNetwork
-from repro.graphs.generators import clique, cycle, path, star
+from graph_oracles import clique, cycle, path, star
 
 
 def mean_and_std(process, factory, trials, seed_base):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dynamics.mobile_agents import MobileAgentsNetwork
+from graph_oracles import edge_set
 
 
 class TestConstruction:
@@ -30,24 +31,24 @@ class TestSnapshots:
     def test_snapshot_nodes_are_agents(self):
         network = MobileAgentsNetwork(12, side=6)
         network.reset(1)
-        graph = network.graph_for_step(0, frozenset())
-        assert set(graph.nodes()) == set(range(12))
+        snapshot = network.snapshot_for_step(0, frozenset())
+        assert snapshot.nodes == tuple(range(12))
 
     def test_radius_zero_connects_only_colocated_agents(self):
         network = MobileAgentsNetwork(30, side=2, radius=0, rng=2)
         network.reset(2)
-        graph = network.graph_for_step(0, frozenset())
+        snapshot = network.snapshot_for_step(0, frozenset())
         positions = network.positions()
-        for u, v in graph.edges():
+        for u, v in edge_set(snapshot):
             assert tuple(positions[u]) == tuple(positions[v])
 
     def test_radius_one_connects_adjacent_cells(self):
         network = MobileAgentsNetwork(40, side=4, radius=1, rng=3)
         network.reset(3)
-        graph = network.graph_for_step(0, frozenset())
+        snapshot = network.snapshot_for_step(0, frozenset())
         positions = network.positions()
         side = network.side
-        for u, v in graph.edges():
+        for u, v in edge_set(snapshot):
             dx = abs(int(positions[u, 0]) - int(positions[v, 0]))
             dy = abs(int(positions[u, 1]) - int(positions[v, 1]))
             dx = min(dx, side - dx)
@@ -57,15 +58,15 @@ class TestSnapshots:
     def test_large_radius_yields_complete_graph(self):
         network = MobileAgentsNetwork(8, side=3, radius=3, rng=4)
         network.reset(4)
-        graph = network.graph_for_step(0, frozenset())
-        assert graph.number_of_edges() == 8 * 7 // 2
+        snapshot = network.snapshot_for_step(0, frozenset())
+        assert snapshot.edge_count == 8 * 7 // 2
 
     def test_positions_move_by_at_most_one_cell_per_step(self):
         network = MobileAgentsNetwork(15, side=10, torus=False, rng=5)
         network.reset(5)
-        network.graph_for_step(0, frozenset())
+        network.snapshot_for_step(0, frozenset())
         before = network.positions()
-        network.graph_for_step(1, frozenset())
+        network.snapshot_for_step(1, frozenset())
         after = network.positions()
         assert np.all(np.abs(after - before) <= 1)
 
@@ -73,7 +74,7 @@ class TestSnapshots:
         network = MobileAgentsNetwork(10, side=3, torus=False, rng=6)
         network.reset(6)
         for t in range(20):
-            network.graph_for_step(t, frozenset())
+            network.snapshot_for_step(t, frozenset())
         positions = network.positions()
         assert positions.min() >= 0
         assert positions.max() < 3
@@ -84,6 +85,6 @@ class TestSnapshots:
         network_a.reset(9)
         network_b.reset(9)
         for t in range(4):
-            ga = network_a.graph_for_step(t, frozenset())
-            gb = network_b.graph_for_step(t, frozenset())
-            assert set(ga.edges()) == set(gb.edges())
+            snapshot_a = network_a.snapshot_for_step(t, frozenset())
+            snapshot_b = network_b.snapshot_for_step(t, frozenset())
+            assert edge_set(snapshot_a) == edge_set(snapshot_b)

@@ -40,7 +40,7 @@ class TestNetworkRegistry:
             network = build_network(name, rng=0, **self.SMOKE_PARAMS[name])
             assert network.n >= 1
             network.reset(0)
-            network.graph_for_step(0, frozenset())
+            network.snapshot_for_step(0, frozenset())
 
     def test_smoke_params_cover_registry(self):
         assert set(self.SMOKE_PARAMS) == set(network_families())
@@ -209,9 +209,11 @@ class TestScenarioPoints:
         second = point.build_network()
         first.reset(0)
         second.reset(0)
-        assert set(first.graph_for_step(0, frozenset()).edges()) == set(
-            second.graph_for_step(0, frozenset()).edges()
-        )
+        first_snapshot = first.snapshot_for_step(0, frozenset())
+        second_snapshot = second.snapshot_for_step(0, frozenset())
+        assert first_snapshot.nodes == second_snapshot.nodes
+        assert first_snapshot.indptr.tolist() == second_snapshot.indptr.tolist()
+        assert first_snapshot.indices.tolist() == second_snapshot.indices.tolist()
 
     def test_fault_model_coerces_json_node_labels(self):
         scenario = Scenario(

@@ -1,6 +1,5 @@
 """Unit tests for the oblivious dynamic network wrappers."""
 
-import networkx as nx
 import pytest
 
 from repro.dynamics.sequences import (
@@ -9,16 +8,19 @@ from repro.dynamics.sequences import (
     PeriodicSequenceNetwork,
     StaticDynamicNetwork,
 )
-from repro.graphs.generators import clique, cycle, erdos_renyi_csr, path, path_csr, star
+from repro.graphs.generators import cycle_csr, erdos_renyi_csr, path_csr
 from repro.graphs.metrics import EXACT_ENUMERATION_LIMIT, GraphMetrics
+from graph_oracles import clique, cycle, has_edge, path, star
 
 
 class TestStaticDynamicNetwork:
     def test_every_step_returns_the_same_graph(self):
         network = StaticDynamicNetwork(cycle(range(6)))
         network.reset(0)
-        graphs = [network.graph_for_step(t, frozenset()) for t in range(3)]
-        assert graphs[0] is graphs[1] is graphs[2]
+        snapshots = [network.snapshot_for_step(t, frozenset()) for t in range(3)]
+        assert snapshots[0] is snapshots[1] is snapshots[2]
+        network.reset(1)
+        assert network.snapshot_for_step(0, frozenset()) is snapshots[0]
 
     def test_small_graph_metrics_are_precomputed(self):
         network = StaticDynamicNetwork(star(0, range(1, 6)))
@@ -56,7 +58,7 @@ class TestStaticDynamicNetwork:
         network = StaticDynamicNetwork(graph)
         graph.add_edge(0, 4)
         network.reset(0)
-        assert not network.graph_for_step(0, frozenset()).has_edge(0, 4)
+        assert not has_edge(network.snapshot_for_step(0, frozenset()), 0, 4)
 
 
 class TestExplicitSequenceNetwork:
@@ -64,20 +66,38 @@ class TestExplicitSequenceNetwork:
         graphs = [path(range(4)), cycle(range(4))]
         network = ExplicitSequenceNetwork(graphs)
         network.reset(0)
-        assert network.graph_for_step(0, frozenset()).number_of_edges() == 3
-        assert network.graph_for_step(1, frozenset()).number_of_edges() == 4
-        assert network.graph_for_step(7, frozenset()).number_of_edges() == 4
+        assert network.snapshot_for_step(0, frozenset()).edge_count == 3
+        assert network.snapshot_for_step(1, frozenset()).edge_count == 4
+        assert network.snapshot_for_step(7, frozenset()).edge_count == 4
 
     def test_cycle_mode_wraps_around(self):
         graphs = [path(range(4)), cycle(range(4))]
         network = ExplicitSequenceNetwork(graphs, cycle=True)
         network.reset(0)
-        assert network.graph_for_step(2, frozenset()).number_of_edges() == 3
-        assert network.graph_for_step(3, frozenset()).number_of_edges() == 4
+        assert network.snapshot_for_step(2, frozenset()).edge_count == 3
+        assert network.snapshot_for_step(3, frozenset()).edge_count == 4
+
+    def test_networkx_snapshots_follow_snapshot_0_node_order(self):
+        network = ExplicitSequenceNetwork([path([2, 0, 3, 1]), cycle(range(4))])
+        network.reset(0)
+        later = network.snapshot_for_step(1, frozenset())
+        assert later.nodes == (2, 0, 3, 1)
+        assert has_edge(later, 3, 0) and not has_edge(later, 0, 2)
+
+    def test_accepts_mixed_networkx_and_csr_snapshots(self):
+        network = ExplicitSequenceNetwork([path(range(4)), cycle_csr(range(4))])
+        network.reset(0)
+        assert network.snapshot_for_step(1, frozenset()).edge_count == 4
 
     def test_rejects_mismatched_node_sets(self):
         with pytest.raises(ValueError):
             ExplicitSequenceNetwork([path(range(4)), path(range(5))])
+        with pytest.raises(ValueError):
+            ExplicitSequenceNetwork([path(range(4)), path_csr(range(5))])
+
+    def test_rejects_csr_snapshot_in_a_different_node_order(self):
+        with pytest.raises(ValueError, match="order"):
+            ExplicitSequenceNetwork([path(range(4)), cycle_csr([1, 0, 2, 3])])
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError):
@@ -102,10 +122,10 @@ class TestPeriodicSequenceNetwork:
     def test_alternation(self):
         network = PeriodicSequenceNetwork([path(range(4)), cycle(range(4))])
         network.reset(0)
-        edge_counts = [
-            network.graph_for_step(t, frozenset()).number_of_edges() for t in range(4)
-        ]
-        assert edge_counts == [3, 4, 3, 4]
+        snapshots = [network.snapshot_for_step(t, frozenset()) for t in range(4)]
+        assert [snapshot.edge_count for snapshot in snapshots] == [3, 4, 3, 4]
+        # One object per period index, so the engines skip rate rebuilds.
+        assert snapshots[0] is snapshots[2] and snapshots[1] is snapshots[3]
 
 
 class TestCallableDynamicNetwork:
@@ -118,8 +138,8 @@ class TestCallableDynamicNetwork:
 
         network = CallableDynamicNetwork(list(range(5)), builder)
         network.reset(0)
-        assert not network.graph_for_step(0, frozenset()).has_edge(0, 4)
-        assert network.graph_for_step(1, frozenset()).has_edge(0, 4)
+        assert not has_edge(network.snapshot_for_step(0, frozenset()), 0, 4)
+        assert has_edge(network.snapshot_for_step(1, frozenset()), 0, 4)
 
     def test_metrics_callable(self):
         metrics = GraphMetrics(
@@ -135,4 +155,4 @@ class TestCallableDynamicNetwork:
         network = CallableDynamicNetwork(list(range(5)), lambda t: path(range(6)))
         network.reset(0)
         with pytest.raises(ValueError):
-            network.graph_for_step(0, frozenset())
+            network.snapshot_for_step(0, frozenset())

@@ -10,7 +10,7 @@ from repro.core.synchronous import SynchronousRumorSpreading, SyncVariant, defau
 from repro.dynamics.base import SnapshotRecorder
 from repro.dynamics.dichotomy import CliqueBridgeNetwork, DynamicStarNetwork
 from repro.dynamics.sequences import StaticDynamicNetwork
-from repro.graphs.generators import clique, path, star
+from graph_oracles import clique, path, star
 
 
 class TestBasics:
