@@ -56,7 +56,7 @@ from repro.dynamics.base import DynamicNetwork
 from repro.execution.policy import RetryPolicy
 from repro.execution.report import ExecutionReport
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
-from repro.utils.validation import require
+from repro.utils.validation import require, require_finite_positive
 
 if TYPE_CHECKING:  # pragma: no cover - lazy at runtime (scenarios imports us)
     from repro.scenarios.scenario import Scenario, ScenarioPoint
@@ -140,6 +140,8 @@ class RunSpec:
             isinstance(self.workers, int) and self.workers >= 1,
             f"workers must be a positive integer, got {self.workers!r}",
         )
+        if self.max_time is not None:
+            require_finite_positive(self.max_time, "max_time")
         if self.until_ci_width is not None:
             require(
                 self.max_trials is not None,

@@ -55,7 +55,7 @@ from repro.core.variants import Variant
 from repro.dynamics.base import DynamicNetwork, SnapshotRecorder
 from repro.graphs.csr import CsrSnapshot
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require, require_finite_positive
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (repro.api imports this module)
     from repro.api.observers import RunObserver
@@ -156,7 +156,7 @@ class AsynchronousRumorSpreading:
         source = network.default_source() if source is None else source
         require(source in network.node_set, f"source {source!r} is not a node of the network")
         limit = default_time_limit(network.n) if max_time is None else max_time
-        require_positive(limit, "max_time")
+        require_finite_positive(limit, "max_time")
         if self.engine == "boundary":
             return self._run_boundary(network, source, gen, limit, recorder, observer)
         return self._run_naive(network, source, gen, limit, recorder, observer)

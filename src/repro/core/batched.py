@@ -35,8 +35,12 @@ independent ``Exp(rate)`` delays on the directed adjacency entries — see
 :mod:`repro.core.percolation` for the argument, including why drop faults
 (rate scaling), scheduled crashes (per-entry clips) and the time horizon
 (monotone censoring) all stay exact.
-One ``(T, m)`` exponential draw plus a vectorised frontier relaxation
-replaces the entire event loop.
+The trial axis streams through in blocks of
+``max(1, BLOCK_DELAY_ENTRIES // m)`` trials: each block draws its
+``(block, m)`` exponential delays (every row from that trial's own
+generator), one vectorised frontier relaxation solves it, and its rows land
+in the ``(T, n)`` time matrix before the next block is drawn.  That replaces
+the entire event loop while bounding memory by the block, not by ``T·m``.
 
 Because all trials share one network realisation, the engine requires a
 :class:`repro.dynamics.sequences.StaticDynamicNetwork` — snapshot changes at
@@ -65,7 +69,13 @@ from repro.dynamics.base import DynamicNetwork
 from repro.dynamics.sequences import StaticDynamicNetwork
 from repro.graphs.csr import CsrSnapshot
 from repro.utils.rng import RngLike, spawn_rngs
-from repro.utils.validation import require, require_node_count, require_positive
+from repro.utils.validation import require, require_finite_positive, require_node_count
+
+#: Delay entries drawn and solved at once on the percolation path: the trial
+#: axis streams through in blocks of ``max(1, BLOCK_DELAY_ENTRIES // m)``
+#: trials (8 on G(10⁴, 2 ln n/n), 1 on G(10⁵, ·)), which bounds the delay
+#: matrix and the solver's per-position temporaries.
+BLOCK_DELAY_ENTRIES = 1_500_000
 
 
 def batched_supported(network: DynamicNetwork) -> Optional[str]:
@@ -174,7 +184,7 @@ class BatchedRumorSpreading:
         source = network.default_source() if source is None else source
         require(source in network.node_set, f"source {source!r} is not a node of the network")
         limit = default_time_limit(network.n) if max_time is None else max_time
-        require_positive(limit, "max_time")
+        require_finite_positive(limit, "max_time")
 
         network.reset(None)
         nodes = network.nodes
@@ -271,16 +281,10 @@ class BatchedRumorSpreading:
         delivery = self.faults.delivery_probability()
         m = int(snapshot.indices.size)
 
-        delays = np.empty((trials, m))
-        for t, gen in enumerate(gens):
-            delays[t] = gen.standard_exponential(m)
-        if delivery <= 0.0:
-            delays[:] = np.inf
-        elif m:
-            delays /= entry_transmission_rates(snapshot, a, b, delivery)[None, :]
-        if down.any() and m:
+        rates = entry_transmission_rates(snapshot, a, b, delivery)
+        unusable = None
+        if down.any():
             unusable = down[snapshot.row_owner] | down[snapshot.indices]
-            delays[:, unusable] = np.inf
 
         theta = np.full(n, np.inf)
         for time, node_id in pending:
@@ -289,15 +293,28 @@ class BatchedRumorSpreading:
         if pending and m:
             clip = np.minimum(theta[snapshot.row_owner], theta[snapshot.indices])
 
-        times = first_passage_times(
-            snapshot.indptr,
-            snapshot.indices,
-            snapshot.degrees,
-            delays,
-            source_id,
-            clip=clip,
-            limit=limit,
-        )
+        block = max(1, BLOCK_DELAY_ENTRIES // max(m, 1))
+        buffer = np.empty((min(block, trials), m))
+        times = np.empty((trials, n))
+        for lo in range(0, trials, block):
+            delays = buffer[: min(block, trials - lo)]
+            for row, gen in zip(delays, gens[lo : lo + block]):
+                gen.standard_exponential(out=row)
+            if delivery <= 0.0:
+                delays[:] = np.inf
+            else:
+                delays /= rates
+            if unusable is not None:
+                delays[:, unusable] = np.inf
+            times[lo : lo + delays.shape[0]] = first_passage_times(
+                snapshot.indptr,
+                snapshot.indices,
+                snapshot.degrees,
+                delays,
+                source_id,
+                clip=clip,
+                limit=limit,
+            )
         informed = np.isfinite(times)
         # A trial is complete when every node is informed or excused: down
         # from the start, or scheduled to crash strictly inside the horizon
@@ -306,10 +323,10 @@ class BatchedRumorSpreading:
         excused = down | (theta < limit)
         completed = (informed | excused[None, :]).all(axis=1)
 
+        informed[:, source_id] = False
         results = []
         for t in range(trials):
-            ids = np.nonzero(informed[t])[0]
-            ids = ids[ids != source_id]
+            ids = np.flatnonzero(informed[t])
             results.append(
                 self._build_result(
                     nodes, source_id, ids, times[t, ids], bool(completed[t]), limit
@@ -331,9 +348,10 @@ class BatchedRumorSpreading:
         limit: float,
     ) -> SpreadResult:
         informed_times = {nodes[source_id]: 0.0}
-        for node_id, time in zip(informed_ids, informed_at):
-            informed_times[nodes[int(node_id)]] = float(time)
-        spread_time = max(informed_times.values()) if completed else math.inf
+        informed_times.update(
+            zip(map(nodes.__getitem__, informed_ids.tolist()), informed_at.tolist())
+        )
+        spread_time = float(informed_at.max(initial=0.0)) if completed else math.inf
         return SpreadResult(
             spread_time=spread_time,
             informed_times=informed_times,

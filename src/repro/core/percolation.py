@@ -24,11 +24,14 @@ non-negative (no path through a censored node can re-enter the horizon).
 
 The solver itself is a frontier label-correcting Bellman–Ford over the flat
 ``(trial, node)`` pair space, with a delta-stepping-style twist: each round
-expands only the earliest ~quarter of the pending pairs (a ``np.partition``
+expands only the earliest tenth of the pending pairs (a ``np.partition``
 threshold), which approximates Dijkstra's settled order closely enough to cut
-edge re-expansion from ~4.7 to ~1.4 touches per directed entry on G(10⁴, p)
-while keeping every scatter an O(frontier)-sized vectorised batch
-(``np.minimum.at``).  Expansion order cannot change the fixed point — every
+edge re-expansion from ~4.6 to ~1.06 touches per directed entry on
+G(10⁴, 2 ln n/n) (~5.4 to ~1.07 on G(10⁵, ·)) while keeping every scatter an
+O(frontier)-sized vectorised batch (``np.minimum.at``).  The flat
+``(trial, neighbour)`` target of every ``(trial, entry)`` position is built
+once per call, so a round is a handful of gathers and one scatter.
+Expansion order cannot change the fixed point — every
 finite time is the same left-associated sum of delays along the same optimal
 path — so the result is bit-identical for any ordering (and to the heap
 Dijkstra reference below, which the test-suite checks exactly).  This is what
@@ -46,13 +49,18 @@ from repro.graphs.csr import CsrSnapshot
 
 #: Fraction of pending (trial, node) pairs expanded per round — the earliest
 #: ones by tentative time.  Smaller fractions mean fewer wasted re-expansions
-#: but more rounds of python-level overhead; ~0.25 is near the throughput
-#: plateau on G(n, p)-class graphs.
-EXPAND_FRACTION = 0.25
+#: but more rounds of python-level overhead.  On G(10⁴, 2 ln n/n) in blocks of
+#: 8 trials, 1.0 / 0.25 / 0.1 / 0.05 touch each directed entry 4.6 / 1.5 /
+#: 1.06 / 1.0 times, and 0.1 is the fastest of them there and on G(10⁵, ·).
+#: Sparser families (expander, star) run best near 0.25 but stay within ~30%
+#: at 0.1.
+EXPAND_FRACTION = 0.1
 
-#: Below this many pending pairs the partition threshold is skipped and the
-#: whole frontier expands at once (ordering overhead beats the savings).
-ORDERED_EXPANSION_MIN = 64
+#: While the pending set holds at most this many pairs per trial the
+#: partition threshold is skipped and the whole frontier expands at once.
+#: Cycles and paths never get past it: their frontier is two pairs wide and
+#: ordering it would only multiply the rounds.
+ORDERED_EXPANSION_MIN = 4
 
 
 def entry_transmission_rates(
@@ -92,60 +100,67 @@ def first_passage_times(
     """
     trials, m = delays.shape
     n = indptr.shape[0] - 1
-    times = np.full(trials * n, np.inf)
-    sources = np.arange(trials) * n + source_id
-    times[sources] = 0.0
     if limit <= 0.0:
         # Degenerate horizon: nothing besides the source can be informed
         # (matches the event engines, which only record events before limit).
-        return times.reshape(trials, n)
+        times = np.full((trials, n), np.inf)
+        times[:, source_id] = 0.0
+        return times
 
+    # Unreached pairs hold ``limit`` until the end: a candidate counts only
+    # when it beats its target's current time, so that one comparison also
+    # enforces the horizon.
+    times = np.full(trials * n, float(limit))
+    sources = np.arange(trials) * n + source_id
+    times[sources] = 0.0
     delays_flat = delays.reshape(-1)
+    # The (trial, neighbour) pair each (trial, entry) position relaxes.
+    targets_flat = (np.arange(trials)[:, None] * n + indices[None, :]).reshape(-1)
+    clip_flat = None if clip is None else np.tile(clip, trials)
     pending = np.zeros(trials * n, dtype=bool)
     pending[sources] = True
     while True:
-        flat = np.nonzero(pending)[0]
+        flat = np.flatnonzero(pending)
         if flat.size == 0:
             break
-        if flat.size > ORDERED_EXPANSION_MIN:
+        if flat.size > ORDERED_EXPANSION_MIN * trials:
             # Expand the earliest pairs first: close enough to Dijkstra's
             # settled order that later improvement (and re-expansion) of an
             # already-expanded pair becomes rare.
-            tentative = times[flat]
+            tentative = times.take(flat)
             k = max(1, int(flat.size * EXPAND_FRACTION))
             threshold = np.partition(tentative, k - 1)[k - 1]
-            flat = flat[tentative <= threshold]
+            flat = flat[np.flatnonzero(tentative <= threshold)]
         pending[flat] = False
-        trial = flat // n
-        node = flat % n
+        trial, node = np.divmod(flat, n)
         counts = degrees[node]
         total = int(counts.sum())
         if total == 0:
             continue
-        trial_rep = np.repeat(trial, counts)
-        # Row-gather machinery: entry e of pair (t, v) sits at
-        # delays_flat[t·m + indptr[v] + e]; one repeat builds the bases.
-        offsets = np.cumsum(counts) - counts
-        position = np.arange(total) + np.repeat(
-            trial * m + indptr[node] - offsets, counts
-        )
-        entry = position - trial_rep * m
-        candidate = np.repeat(times[flat], counts) + delays_flat[position]
-        if clip is not None:
-            candidate = np.where(candidate < clip[entry], candidate, np.inf)
-        target = trial_rep * n + indices[entry]
-        before = times[target]
-        keep = candidate < before
-        if limit != np.inf:
-            keep &= candidate < limit
-        target = target[keep]
-        candidate = candidate[keep]
-        if target.size == 0:
+        # Row-gather machinery: entry e of pair (t, v) sits at position
+        # t·m + indptr[v] + e; one repeat builds the bases.
+        base = indptr[node] - np.cumsum(counts)
+        base += counts
+        base += trial * m
+        position = np.repeat(base, counts)
+        position += np.arange(total)
+        candidate = np.repeat(times.take(flat), counts)
+        candidate += delays_flat.take(position)
+        target = targets_flat.take(position)
+        keep = candidate < times.take(target)
+        if clip_flat is not None:
+            keep &= candidate < clip_flat.take(position)
+        # Index lists, not boolean masks: compressing two arrays by one
+        # sparse mask is several times slower than one flatnonzero.
+        keep = np.flatnonzero(keep)
+        if keep.size == 0:
             continue
-        np.minimum.at(times, target, candidate)
-        # A target pair re-enters the pending set when anything lowered it
-        # this round (its own slot or a sibling candidate's).
-        pending[target[times[target] < before[keep]]] = True
+        target = target.take(keep)
+        # Every kept candidate lowers its target, so each target re-enters
+        # the pending set.
+        np.minimum.at(times, target, candidate.take(keep))
+        pending[target] = True
+    times[times == limit] = np.inf
     return times.reshape(trials, n)
 
 

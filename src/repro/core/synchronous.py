@@ -32,7 +32,7 @@ from repro.core.state import SpreadResult
 from repro.dynamics.base import DynamicNetwork, SnapshotRecorder
 from repro.graphs.csr import concatenated_neighbors
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require, require_finite_positive
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (repro.api imports this module)
     from repro.api.observers import RunObserver
@@ -90,7 +90,7 @@ class SynchronousRumorSpreading:
         source = network.default_source() if source is None else source
         require(source in network.node_set, f"source {source!r} is not a node of the network")
         limit = default_round_limit(network.n) if max_rounds is None else max_rounds
-        require_positive(limit, "max_rounds")
+        require_finite_positive(limit, "max_rounds")
 
         network.reset(gen)
         nodes = network.nodes

@@ -7,6 +7,7 @@ confusing networkx error three stack frames deeper.
 
 from __future__ import annotations
 
+import math
 from numbers import Real
 from typing import Any
 
@@ -23,6 +24,17 @@ def require_positive(value: Real, name: str) -> None:
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def require_finite_positive(value: Real, name: str) -> None:
+    """Raise unless ``value`` is a finite, strictly positive real number.
+
+    Horizons use this: an infinite one never stops a run that cannot
+    complete, and ``nan`` slips through every ordered comparison.
+    """
+    require_positive(value, name)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def require_non_negative(value: Real, name: str) -> None:
@@ -60,6 +72,7 @@ def require_int_in_range(value: Any, low: int, high: int, name: str) -> None:
 __all__ = [
     "require",
     "require_positive",
+    "require_finite_positive",
     "require_non_negative",
     "require_probability",
     "require_node_count",

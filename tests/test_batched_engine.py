@@ -8,18 +8,26 @@ mean plus an empirical-CDF distance bound), including the closed-form clique
 path, the general blocked path, and both fault families.
 """
 
+import json
 import math
 import statistics
 
 import numpy as np
 import pytest
 
+from repro.core import batched
 from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.core.batched import BatchedRumorSpreading, batched_supported
 from repro.core.faults import FaultModel
+from repro.core.percolation import (
+    entry_transmission_rates,
+    first_passage_times_reference,
+)
 from repro.core.variants import Variant
 from repro.dynamics.dichotomy import DynamicStarNetwork
 from repro.dynamics.sequences import StaticDynamicNetwork
+from repro.graphs.generators import erdos_renyi_csr
+from repro.utils.rng import spawn_rngs
 from graph_oracles import clique, cycle, path, star
 
 TRIALS = 150
@@ -194,3 +202,87 @@ class TestBatchedSemantics:
         assert batched_supported(StaticDynamicNetwork(clique(range(4)))) is None
         with pytest.raises(ValueError, match="static"):
             BatchedRumorSpreading().run_batch(DynamicStarNetwork(6), 2, rng=1)
+
+
+def entry_count(network):
+    network.reset(None)
+    return int(network.snapshot_for_step(0, {network.default_source()}).indices.size)
+
+
+def redrawn_reference(process, network, trials, seed, limit):
+    """Each trial's expected ``informed_times`` items, in insertion order.
+
+    Re-draws trial ``t``'s delays from its own spawned generator exactly as
+    the engine does, solves them with the heap Dijkstra reference, and lists
+    the source first, then every informed node by compact id.
+    """
+    network.reset(None)
+    nodes = network.nodes
+    source_id = nodes.index(network.default_source())
+    snapshot = network.snapshot_for_step(0, {nodes[source_id]})
+    faults = process.faults
+    a, b = process.variant.rate_coefficients()
+    rates = entry_transmission_rates(snapshot, a, b, faults.delivery_probability())
+    down = np.array([faults.is_down(node, 0.0) for node in nodes])
+    unusable = down[snapshot.row_owner] | down[snapshot.indices]
+    theta = np.array([faults.crash_times.get(node, np.inf) for node in nodes])
+    clip = np.minimum(theta[snapshot.row_owner], theta[snapshot.indices])
+    expected = []
+    for gen in spawn_rngs(seed, trials):
+        delays = gen.standard_exponential(snapshot.indices.size) / rates
+        delays[unusable] = np.inf
+        times = first_passage_times_reference(
+            snapshot.indptr, snapshot.indices, delays, source_id, clip=clip, limit=limit
+        )
+        ids = [i for i in np.flatnonzero(np.isfinite(times)) if i != source_id]
+        expected.append(
+            [(nodes[source_id], 0.0)] + [(nodes[i], float(times[i])) for i in ids]
+        )
+    return expected
+
+
+class TestBlockedPercolation:
+    """The percolation path streams the trial axis through fixed blocks."""
+
+    def test_rows_equal_reference_on_redrawn_delays(self, monkeypatch):
+        network = StaticDynamicNetwork(erdos_renyi_csr(60, 0.12, rng=4))
+        # Blocks of 3 trials: 10 trials leave a partial last block.
+        monkeypatch.setattr(batched, "BLOCK_DELAY_ENTRIES", 3 * entry_count(network))
+        faults = FaultModel(
+            drop_probability=0.3,
+            crashed_nodes=frozenset({5, 9}),
+            crash_times={7: 0.6, 11: 1.5},
+        )
+        process = BatchedRumorSpreading(faults=faults)
+        results = process.run_batch(network, 10, rng=21, max_time=2.5)
+        expected = redrawn_reference(process, network, 10, 21, 2.5)
+        for result, items in zip(results, expected):
+            assert list(result.informed_times.items()) == items
+
+    def test_solver_never_sees_more_than_one_block(self, monkeypatch):
+        n = 2000
+        network = StaticDynamicNetwork(erdos_renyi_csr(n, 2 * math.log(n) / n, rng=6))
+        rows = []
+        solve = batched.first_passage_times
+
+        def recording(indptr, indices, degrees, delays, *args, **kwargs):
+            rows.append(delays.shape[0])
+            return solve(indptr, indices, degrees, delays, *args, **kwargs)
+
+        monkeypatch.setattr(batched, "first_passage_times", recording)
+        results = BatchedRumorSpreading().run_batch(network, 100, rng=3)
+        assert len(results) == 100
+        assert sum(rows) == 100 and len(rows) > 1
+        assert max(rows) <= max(1, batched.BLOCK_DELAY_ENTRIES // entry_count(network))
+
+    def test_informed_times_of_labelled_nodes(self):
+        labels = [f"v{i}" for i in range(50)]
+        network = StaticDynamicNetwork(erdos_renyi_csr(50, 0.1, rng=2, nodes=labels))
+        process = BatchedRumorSpreading()
+        results = process.run_batch(network, 4, rng=8, max_time=3.0)
+        expected = redrawn_reference(process, network, 4, 8, 3.0)
+        for result, items in zip(results, expected):
+            assert list(result.informed_times.items()) == items
+            assert all(type(time) is float for time in result.informed_times.values())
+            assert set(result.informed_times) <= set(labels)
+            assert json.loads(json.dumps(result.informed_times)) == result.informed_times

@@ -6,13 +6,18 @@ unsupported combination raises the same ``ValueError`` family from all three
 ``Scenario.bind()`` — never mid-run after trials have already burned time.
 """
 
+import math
+
+import networkx as nx
 import pytest
 
 from repro import api
 from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.core.batched import BatchedRumorSpreading
-from repro.api.builder import ENGINES, resolve_process
+from repro.core.synchronous import SynchronousRumorSpreading
+from repro.api.builder import ENGINES, RunSpec, resolve_process
 from repro.dynamics.base import SnapshotRecorder
+from repro.dynamics.sequences import StaticDynamicNetwork
 from repro.scenarios.scenario import Scenario
 
 
@@ -150,6 +155,59 @@ class TestEngineExecution:
     def test_default_engine_unchanged(self):
         assert api.run(network="clique", n=8).spec.engine == "boundary"
 
+
+NON_FINITE = [math.inf, math.nan]
+
+
+def split_network():
+    """Edges 0–1 and 2–3: a rumor from 0 can never complete."""
+    return StaticDynamicNetwork(nx.Graph([(0, 1), (2, 3)]))
+
+
+class TestNonFiniteHorizon:
+    """``inf``/``nan`` horizons fail up front with one ValueError everywhere.
+
+    On a network that cannot complete, an infinite horizon used to hang the
+    boundary engine, and the batched engine solved the whole batch before
+    failing; ``nan`` made the boundary engine return at once.
+    """
+
+    @pytest.mark.parametrize("horizon", NON_FINITE)
+    def test_run_spec_rejects(self, horizon):
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            RunSpec(network="clique", params={"n": 4}, max_time=horizon).validate()
+
+    @pytest.mark.parametrize("horizon", NON_FINITE)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_engine_rejects_from_the_builder(self, engine, horizon):
+        builder = api.run(network=split_network()).engine(engine).max_time(horizon).seed(1)
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            builder.once()
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            builder.trials(3).collect()
+
+    @pytest.mark.parametrize("horizon", NON_FINITE)
+    def test_sync_algorithm_rejects_from_the_builder(self, horizon):
+        builder = api.run(network=split_network(), algorithm="sync").max_time(horizon)
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            builder.once()
+
+    @pytest.mark.parametrize("horizon", NON_FINITE)
+    @pytest.mark.parametrize("engine", ["boundary", "naive"])
+    def test_asynchronous_engines_reject(self, engine, horizon):
+        process = AsynchronousRumorSpreading(engine=engine)
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            process.run(split_network(), rng=1, max_time=horizon)
+
+    @pytest.mark.parametrize("horizon", NON_FINITE)
+    def test_batched_engine_rejects(self, horizon):
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            BatchedRumorSpreading().run_batch(split_network(), 3, rng=1, max_time=horizon)
+
+    @pytest.mark.parametrize("horizon", NON_FINITE)
+    def test_synchronous_engine_rejects(self, horizon):
+        with pytest.raises(ValueError, match="max_rounds must be finite"):
+            SynchronousRumorSpreading().run(split_network(), rng=1, max_rounds=horizon)
 
 
 def assert_same_run(left, right):

@@ -2,8 +2,9 @@
 
 Each check uses exact float equality (no tolerances): the vectorised
 frontier solver matches a heap Dijkstra reference row by row, including crash
-clips and horizon censoring, is invariant to the ordered-expansion fraction,
-and informs only the source at a zero horizon.
+clips and horizon censoring, is invariant to the ordered-expansion fraction
+and to how the trial axis is split into blocks, and informs only the source
+at a zero horizon.
 """
 
 import networkx as nx
@@ -75,18 +76,26 @@ class TestFirstPassageExactness:
 
     def test_result_invariant_to_expansion_order(self, monkeypatch):
         # Any expansion schedule converges to the same fixed point bit for
-        # bit: every finite time is the same left-associated delay sum.
-        snapshot, delays, _ = random_snapshot_and_delays(29)
+        # bit: every finite time is the same left-associated delay sum.  So
+        # does any split of the trial axis into blocks.
+        snapshot, delays, _ = random_snapshot_and_delays(29, trials=5)
         baseline = first_passage_times(
             snapshot.indptr, snapshot.indices, snapshot.degrees, delays, 0
         )
-        for fraction in (1.0, 0.5, 0.05):
+        monkeypatch.setattr(percolation, "ORDERED_EXPANSION_MIN", 0)
+        for fraction in (1.0, 0.5, percolation.EXPAND_FRACTION, 0.05):
             monkeypatch.setattr(percolation, "EXPAND_FRACTION", fraction)
-            monkeypatch.setattr(percolation, "ORDERED_EXPANSION_MIN", 0)
             again = first_passage_times(
                 snapshot.indptr, snapshot.indices, snapshot.degrees, delays, 0
             )
             assert np.array_equal(baseline, again)
+            blocks = [
+                first_passage_times(
+                    snapshot.indptr, snapshot.indices, snapshot.degrees, part, 0
+                )
+                for part in (delays[:2], delays[2:])
+            ]
+            assert np.array_equal(baseline, np.vstack(blocks))
 
     def test_zero_horizon_informs_only_the_source(self):
         snapshot, delays, _ = random_snapshot_and_delays(11)
