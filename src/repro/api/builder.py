@@ -13,9 +13,10 @@ Network, algorithm, variant, engine and fault options are validated
 identically for single runs, repeated trials and sweeps — the same rules the
 :class:`repro.scenarios.scenario.Scenario` dataclass and the CLI enforce.
 ``network`` accepts a registered family name (with parameters), an existing
-:class:`repro.dynamics.base.DynamicNetwork` instance, or a factory callable
+:class:`repro.dynamics.base.DynamicNetwork` instance, a factory callable
 (zero-argument; for sweeps it receives the swept value, matching the legacy
-``sweep`` helper).
+``sweep`` helper), or one graph (a :class:`repro.graphs.csr.CsrSnapshot` or a
+``networkx.Graph``), run as a static network.
 
 Builders are immutable: every configuration method returns a new builder, so
 partially configured builders can be shared and specialised freely.
@@ -53,8 +54,10 @@ from repro.core.faults import FaultModel, fault_model_from_data
 from repro.core.synchronous import SynchronousRumorSpreading
 from repro.core.variants import Variant
 from repro.dynamics.base import DynamicNetwork
+from repro.dynamics.sequences import StaticDynamicNetwork
 from repro.execution.policy import RetryPolicy
 from repro.execution.report import ExecutionReport
+from repro.graphs.csr import GraphLike
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 from repro.utils.validation import require, require_finite_positive
 
@@ -65,8 +68,8 @@ if TYPE_CHECKING:  # pragma: no cover - lazy at runtime (scenarios imports us)
 ALGORITHMS = ("async", "sync")
 ENGINES = ("boundary", "naive", "batched", "auto")
 
-#: Accepted ``network`` forms: family name, live network, or factory callable.
-NetworkLike = Union[str, DynamicNetwork, Callable[..., DynamicNetwork]]
+#: Accepted ``network`` forms: family name, live network, factory callable or graph.
+NetworkLike = Union[str, DynamicNetwork, Callable[..., DynamicNetwork], GraphLike]
 
 
 @dataclass(frozen=True)
@@ -592,9 +595,12 @@ def run(
 
     ``network`` is a registered family name (parameters via ``params`` or as
     extra keyword arguments, e.g. ``run(network="clique", n=200)``), a live
-    :class:`DynamicNetwork`, or a factory callable.  Everything else can also
-    be set later on the returned :class:`RunBuilder`.
+    :class:`DynamicNetwork`, a factory callable, or one graph (CSR or
+    networkx), wrapped in a :class:`StaticDynamicNetwork`.  Everything else
+    can also be set later on the returned :class:`RunBuilder`.
     """
+    if network is not None and not (isinstance(network, (str, DynamicNetwork)) or callable(network)):
+        network = StaticDynamicNetwork(network)
     merged_params = {**(dict(params) if params else {}), **family_params}
     if not isinstance(faults, (FaultModel, type(None))):
         faults = fault_model_from_data(faults)

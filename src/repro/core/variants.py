@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.rng import RngLike, ensure_rng

@@ -25,10 +25,8 @@ from __future__ import annotations
 import math
 from typing import Hashable, Optional, Tuple
 
-import networkx as nx
-
 from repro.dynamics.base import DynamicNetwork
-from repro.graphs.csr import CsrSnapshot
+from repro.graphs.csr import CsrSnapshot, compose_disjoint
 from repro.graphs.generators import near_regular_with_hub, regular_connected_graph
 from repro.graphs.metrics import GraphMetrics
 from repro.utils.rng import RngLike, ensure_rng
@@ -111,13 +109,15 @@ class AbsolutelyDiligentNetwork(DynamicNetwork):
             degree_b -= 1
         degree_b = max(degree_b, 2)
         graph_b = regular_connected_graph(part_b_sorted, degree_b, rng=self._run_rng)
-        graph = nx.compose(graph_a, graph_b)
         # Bridge from the hub to an uninformed node of B when one exists.
-        uninformed_b = [u for u in part_b_sorted if u not in informed]
-        bridge_target = uninformed_b[0] if uninformed_b else part_b_sorted[0]
-        graph.add_edge(hub, bridge_target)
+        bridge_target = next((u for u in part_b_sorted if u not in informed), part_b_sorted[0])
+        graph = compose_disjoint(
+            [graph_a, graph_b],
+            [graph_a.index_of[hub]],
+            [graph_a.n + graph_b.index_of[bridge_target]],
+        )
         self._hub = hub
-        self._snapshot = CsrSnapshot.from_networkx(graph, nodes=self._nodes)
+        self._snapshot = graph.reordered(self._nodes)
 
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
         if t == 0 or self._snapshot is None:

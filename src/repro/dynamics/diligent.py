@@ -107,7 +107,7 @@ class DiligentDynamicNetwork(DynamicNetwork):
             delta=self.delta,
             rng=self._run_rng,
         )
-        self._snapshot = CsrSnapshot.from_networkx(self._current.graph, nodes=self._nodes)
+        self._snapshot = self._current.graph.reordered(self._nodes)
 
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
         if t == 0 or self._current is None:

@@ -15,9 +15,8 @@ Theorem 1.3 (disconnected steps contribute nothing to the bound's budget).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.dynamics.base import DynamicNetwork
@@ -85,36 +84,53 @@ class MobileAgentsNetwork(DynamicNetwork):
             new_positions = np.clip(new_positions, 0, self.side - 1)
         self._positions = new_positions
 
-    def _proximity_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes)
-        positions = self._positions
-        # Bucket agents by cell, then only compare agents in nearby buckets.
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        for agent in range(self.n):
-            cell = (int(positions[agent, 0]), int(positions[agent, 1]))
-            buckets.setdefault(cell, []).append(agent)
-        radius = self.radius
-        for (x, y), members in buckets.items():
-            for dx in range(-radius, radius + 1):
-                for dy in range(-radius, radius + 1):
-                    if self.torus:
-                        other_cell = ((x + dx) % self.side, (y + dy) % self.side)
-                    else:
-                        other_cell = (x + dx, y + dy)
-                    if other_cell not in buckets:
-                        continue
-                    for a in members:
-                        for b in buckets[other_cell]:
-                            if a < b:
-                                graph.add_edge(a, b)
-        return graph
+    def _proximity_graph(self) -> CsrSnapshot:
+        """Join every pair of agents within Chebyshev distance ``radius``.
+
+        Each agent ``a`` lists its partners ``b > a`` cell offset by cell
+        offset (``dx`` then ``dy``, ascending), and within a cell by agent id,
+        keeping a pair's first occurrence: a torus with ``2·radius + 1 > side``
+        reaches one cell through several offsets.  That is the order in which
+        networkx lists the edges of the graph built by scanning cells and
+        offsets, so the snapshot equals its ``from_networkx`` conversion.
+        """
+        n, side, radius = self.n, self.side, self.radius
+        x, y = self._positions[:, 0], self._positions[:, 1]
+        # Agents grouped by cell, ascending within each cell.
+        cell = x * side + y
+        by_cell = np.argsort(cell, kind="stable")
+        cells, first, counts = np.unique(cell[by_cell], return_index=True, return_counts=True)
+        offsets = np.arange(-radius, radius + 1)
+        tx = x[:, None] + np.repeat(offsets, len(offsets))[None, :]
+        ty = y[:, None] + np.tile(offsets, len(offsets))[None, :]
+        if self.torus:
+            tx, ty = tx % side, ty % side
+            valid = np.ones(tx.shape, dtype=bool)
+        else:
+            valid = (tx >= 0) & (tx < side) & (ty >= 0) & (ty < side)
+        target = (tx * side + ty).ravel()
+        slot = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
+        hit = np.flatnonzero(valid.ravel() & (cells[slot] == target))
+        slot = slot[hit]
+        # Expand each (agent, offset) hit into the members of its target cell.
+        sizes = counts[slot]
+        total = int(sizes.sum())
+        shifts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        u_ids = np.repeat(hit // len(offsets) ** 2, sizes)
+        v_ids = by_cell[np.arange(total) - shifts + np.repeat(first[slot], sizes)]
+        later = v_ids > u_ids
+        u_ids, v_ids = u_ids[later], v_ids[later]
+        if self.torus and 2 * radius + 1 > side:
+            _, keep = np.unique(u_ids * n + v_ids, return_index=True)
+            keep.sort()
+            u_ids, v_ids = u_ids[keep], v_ids[keep]
+        return CsrSnapshot.from_edge_arrays(self._nodes, u_ids, v_ids)
 
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
         require(self._positions is not None, "call reset() before requesting snapshots")
         if t > 0:
             self._step_walk()
-        return CsrSnapshot.from_networkx(self._proximity_graph(), nodes=self._nodes)
+        return self._proximity_graph()
 
 
 __all__ = ["MobileAgentsNetwork"]

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, List, Optional, Sequence
 
-import networkx as nx
-
 from repro.dynamics.base import DynamicNetwork
 from repro.graphs.csr import CsrSnapshot, GraphLike
 from repro.graphs.metrics import EXACT_ENUMERATION_LIMIT, GraphMetrics, measure_graph
@@ -123,14 +121,16 @@ class PeriodicSequenceNetwork(ExplicitSequenceNetwork):
 class CallableDynamicNetwork(DynamicNetwork):
     """A dynamic network defined by an arbitrary oblivious function of ``t``.
 
-    ``builder(t)`` must return a graph on exactly the declared node set.  An
-    optional ``metrics(t)`` callable can supply analytic per-step metrics.
+    ``builder(t)`` must return a graph on exactly the declared node set,
+    either a :class:`CsrSnapshot` (re-indexed onto the declared node order
+    when its own order differs) or a ``networkx.Graph`` (converted each step).
+    An optional ``metrics(t)`` callable can supply analytic per-step metrics.
     """
 
     def __init__(
         self,
         nodes: Sequence[Hashable],
-        builder: Callable[[int], nx.Graph],
+        builder: Callable[[int], GraphLike],
         metrics: Optional[Callable[[int], Optional[GraphMetrics]]] = None,
     ):
         super().__init__(nodes)
@@ -138,7 +138,10 @@ class CallableDynamicNetwork(DynamicNetwork):
         self._metrics_fn = metrics
 
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
-        return CsrSnapshot.from_networkx(self._builder(t), nodes=self._nodes)
+        graph = self._builder(t)
+        if isinstance(graph, CsrSnapshot):
+            return graph.reordered(self._nodes)
+        return CsrSnapshot.from_networkx(graph, nodes=self._nodes)
 
     def known_step_metrics(self, t: int) -> Optional[GraphMetrics]:
         if self._metrics_fn is None:

@@ -10,9 +10,9 @@ This subpackage contains everything the paper needs from static graphs:
   graph every dynamic network emits and every engine reads.
 * :mod:`repro.graphs.generators` — the concrete static graphs the paper's
   constructions are assembled from: cliques, stars, cycles, paths, the
-  dynamic-star and Figure 1(a) snapshots and ``G(n, p)``, all built straight
-  into CSR; random regular expanders and near-regular graphs with a single
-  high-degree node, built with networkx.
+  dynamic-star and Figure 1(a) snapshots, ``G(n, p)``, random regular
+  expanders, the Section 5.1 regular and near-regular graphs and the
+  bipartite cluster chain, all built straight into CSR.
 * :mod:`repro.graphs.hk_delta` — the ``H_{k,Δ}(A,B)`` construction of
   Section 4 together with its analytic conductance and diligence
   (Observation 4.1).

@@ -5,6 +5,19 @@ row form: ``indices[indptr[i]:indptr[i+1]]`` lists the (compact, 0-based)
 neighbour ids of node ``i``.  Node labels are kept alongside as an ordered
 tuple, so a snapshot round-trips losslessly to and from ``networkx.Graph``.
 
+Every graph family of the library is built straight into this form; networkx
+is only an input and output format.  It is imported lazily, inside
+:meth:`CsrSnapshot.to_networkx`, so no library code path loads it unless the
+caller hands in or asks for a ``networkx.Graph``.
+
+Builders reproduce the *entry order* :meth:`CsrSnapshot.from_networkx` gives
+for the equivalent networkx construction, because the engines' random draws
+index adjacency entries.  That order is a function of the node order and of
+the order edges were added: :meth:`CsrSnapshot.from_edge_sequence` computes it
+from an edge-insertion sequence, and :meth:`CsrSnapshot.reordered` re-indexes
+a snapshot onto another node order as ``from_networkx(graph, nodes=...)``
+does.
+
 The representation is the contract between the dynamic-network layer and the
 simulation engines: every :class:`repro.dynamics.base.DynamicNetwork` emits its
 snapshots in this form (via ``snapshot_for_step``), and the engines in
@@ -22,7 +35,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.validation import require
@@ -86,7 +98,7 @@ class CsrSnapshot:
         self._index_of: Optional[Dict[Hashable, int]] = None
         self._inverse_degrees: Optional[np.ndarray] = None
         self._row_owner: Optional[np.ndarray] = None
-        self._nx_cache: Optional[nx.Graph] = None
+        self._nx_cache: Optional[networkx.Graph] = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -144,7 +156,7 @@ class CsrSnapshot:
     @classmethod
     def from_networkx(
         cls,
-        graph: nx.Graph,
+        graph: networkx.Graph,
         nodes: Optional[Sequence[Hashable]] = None,
         cache_graph: bool = True,
     ) -> "CsrSnapshot":
@@ -211,16 +223,69 @@ class CsrSnapshot:
         indices = dst[order]
         return cls(indptr, indices, nodes, validate=False)
 
-    def to_networkx(self) -> nx.Graph:
+    @classmethod
+    def from_edge_sequence(
+        cls,
+        nodes: Sequence[Hashable],
+        u_ids: np.ndarray,
+        v_ids: np.ndarray,
+    ) -> "CsrSnapshot":
+        """Build the snapshot of a graph whose edges were added in this order.
+
+        The result equals ``from_networkx`` of a ``networkx.Graph`` that got
+        ``nodes`` first (in order) and then ``add_edge(nodes[u], nodes[v])``
+        for each pair in sequence.  networkx lists that graph's edges node by
+        node in node order, each node's later neighbours in insertion order,
+        which is a stable sort of the pairs by their earlier endpoint.  Like
+        :meth:`from_edge_arrays`, nothing checks for duplicates or self-loops.
+        """
+        u_ids = np.asarray(u_ids, dtype=np.int64)
+        v_ids = np.asarray(v_ids, dtype=np.int64)
+        lo, hi = np.minimum(u_ids, v_ids), np.maximum(u_ids, v_ids)
+        order = np.argsort(lo, kind="stable")
+        return cls.from_edge_arrays(nodes, lo[order], hi[order])
+
+    def forward_edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Return ``(u, v)`` id arrays of every edge once, with ``u < v``.
+
+        The pairs come in entry order, which for a snapshot built by
+        :meth:`from_edge_sequence` (or converted from networkx in the graph's
+        own node order) is the order of ``graph.edges()``.
+        """
+        owner = self.row_owner
+        forward = owner < self.indices
+        return owner[forward], self.indices[forward]
+
+    def reordered(self, nodes: Sequence[Hashable]) -> "CsrSnapshot":
+        """Return this graph indexed by another order of the same node labels.
+
+        Equals ``from_networkx(self.to_networkx(), nodes=nodes)``: the edge
+        sequence keeps this snapshot's order and only the ids change.
+        """
+        nodes = tuple(nodes)
+        if nodes == self.nodes:
+            return self
+        require(
+            len(nodes) == self.n and set(nodes) == set(self.nodes),
+            "node order must list exactly the snapshot's nodes",
+        )
+        index = {label: i for i, label in enumerate(nodes)}
+        new_id = np.fromiter((index[label] for label in self.nodes), dtype=np.int64, count=self.n)
+        u, v = self.forward_edges()
+        snapshot = CsrSnapshot.from_edge_arrays(nodes, new_id[u], new_id[v])
+        snapshot._index_of = index
+        return snapshot
+
+    def to_networkx(self) -> networkx.Graph:
         """Return the snapshot as a ``networkx.Graph`` (cached; do not mutate)."""
         if self._nx_cache is None:
-            graph = nx.Graph()
+            import networkx
+
+            graph = networkx.Graph()
             graph.add_nodes_from(self.nodes)
-            owner = self.row_owner
-            forward = owner < self.indices
             graph.add_edges_from(
-                (self.nodes[int(u)], self.nodes[int(v)])
-                for u, v in zip(owner[forward], self.indices[forward])
+                (self.nodes[u], self.nodes[v])
+                for u, v in zip(*(ids.tolist() for ids in self.forward_edges()))
             )
             self._nx_cache = graph
         return self._nx_cache
@@ -266,7 +331,7 @@ class CsrSnapshot:
         return f"CsrSnapshot(n={self.n}, edges={self.edge_count})"
 
 
-GraphLike = Union[nx.Graph, CsrSnapshot]
+GraphLike = Union["networkx.Graph", CsrSnapshot]
 
 
 def as_snapshot(graph: GraphLike) -> CsrSnapshot:
@@ -295,6 +360,27 @@ def normalized_laplacian_lambda2(graph: GraphLike) -> float:
     return float(np.sort(np.linalg.eigvalsh(laplacian))[1])
 
 
+def compose_disjoint(
+    parts: Sequence[CsrSnapshot],
+    extra_u: Sequence[int] = (),
+    extra_v: Sequence[int] = (),
+) -> CsrSnapshot:
+    """Return the union of node-disjoint ``parts`` plus extra edges.
+
+    Node ids of the union run through ``parts`` in order; ``extra_u[i]`` and
+    ``extra_v[i]`` are union ids.  The result equals ``from_networkx`` of
+    ``networkx.compose`` applied to the parts from left to right, followed by
+    one ``add_edge`` per extra pair.
+    """
+    offsets = np.cumsum([0] + [part.n for part in parts[:-1]])
+    forward = [part.forward_edges() for part in parts]
+    extra = [np.asarray(extra_u, dtype=np.int64), np.asarray(extra_v, dtype=np.int64)]
+    u_ids = np.concatenate([u + offset for (u, _), offset in zip(forward, offsets)] + extra[:1])
+    v_ids = np.concatenate([v + offset for (_, v), offset in zip(forward, offsets)] + extra[1:])
+    nodes = [label for part in parts for label in part.nodes]
+    return CsrSnapshot.from_edge_sequence(nodes, u_ids, v_ids)
+
+
 def concatenated_neighbors(snapshot: CsrSnapshot, ids: np.ndarray) -> np.ndarray:
     """Return the concatenation of the neighbour lists of ``ids`` (vectorised).
 
@@ -315,6 +401,7 @@ __all__ = [
     "CsrSnapshot",
     "GraphLike",
     "as_snapshot",
+    "compose_disjoint",
     "concatenated_neighbors",
     "normalized_laplacian_lambda2",
 ]

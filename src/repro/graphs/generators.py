@@ -13,13 +13,19 @@ are assembled:
   Figure 1(a);
 * a chain of complete bipartite clusters (step 1 of the ``H_{k,Δ}``
   construction, also exported separately for testing).
+
+Every builder returns a :class:`CsrSnapshot` whose entry order is the one
+``CsrSnapshot.from_networkx`` gives for the networkx construction of the same
+graph (``tests/graph_oracles.py`` keeps those constructions as oracles), so
+the engines' random draws do not depend on which of the two built it.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+import random
+from collections import defaultdict
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.graphs.csr import CsrSnapshot, GraphLike, as_snapshot, normalized_laplacian_lambda2
@@ -39,25 +45,29 @@ EXPANDER_MAX_ATTEMPTS = 25
 # Section 4 building block
 # ---------------------------------------------------------------------------
 
-def complete_bipartite_chain(clusters: Sequence[Sequence[Hashable]]) -> nx.Graph:
+def complete_bipartite_chain(clusters: Sequence[Sequence[Hashable]]) -> CsrSnapshot:
     """Return a "string of complete bipartite graphs" over the given clusters.
 
     Consecutive clusters ``S_i`` and ``S_{i+1}`` are joined completely; this is
-    step 1 of the ``H_{k,Δ}(A,B)`` construction (Section 4).
+    step 1 of the ``H_{k,Δ}(A,B)`` construction (Section 4).  Nodes are listed
+    cluster by cluster, and edges are added pair of clusters by pair, each
+    ``S_i`` node to every ``S_{i+1}`` node in order.
     """
     require(len(clusters) >= 2, "need at least two clusters to form a chain")
-    graph = nx.Graph()
+    clusters = [list(cluster) for cluster in clusters]
+    nodes: List[Hashable] = []
     seen = set()
     for cluster in clusters:
-        cluster = list(cluster)
         require(len(cluster) >= 1, "clusters must be non-empty")
         for node in cluster:
             require(node not in seen, f"clusters must be disjoint; {node!r} repeated")
             seen.add(node)
-        graph.add_nodes_from(cluster)
-    for left, right in zip(clusters, clusters[1:]):
-        graph.add_edges_from((u, v) for u in left for v in right)
-    return graph
+        nodes.extend(cluster)
+    starts = np.cumsum([0] + [len(cluster) for cluster in clusters])
+    ids = [np.arange(start, stop) for start, stop in zip(starts, starts[1:])]
+    u_ids = np.concatenate([np.repeat(left, len(right)) for left, right in zip(ids, ids[1:])])
+    v_ids = np.concatenate([np.tile(right, len(left)) for left, right in zip(ids, ids[1:])])
+    return CsrSnapshot.from_edge_sequence(nodes, u_ids, v_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -338,46 +348,107 @@ def spectral_gap(graph: GraphLike) -> float:
     return max(normalized_laplacian_lambda2(snapshot), 0.0)
 
 
+def _pairing_edges(degree: int, n: int, seed: int) -> np.ndarray:
+    """Edges of ``networkx.random_regular_graph(degree, n, seed)`` in its add order.
+
+    A port of the pairing model networkx uses (Steger and Wormald): the same
+    ``random.Random(seed)`` shuffles and the same set insertions, so the edge
+    set iterates in the order networkx adds its edges, and the graph built
+    from it is bit-identical, restarts included.  Returns an ``(m, 2)`` array
+    of ``(s1, s2)`` pairs with ``s1 < s2``.
+    """
+    rnd = random.Random(seed)
+
+    def suitable(edges, potential_edges) -> bool:
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def try_creation():
+        edges = set()
+        stubs = list(range(n)) * degree
+        while stubs:
+            potential_edges: Dict[int, int] = defaultdict(int)
+            rnd.shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] += 1
+                    potential_edges[s2] += 1
+            if not suitable(edges, potential_edges):
+                return None
+            stubs = [node for node, potential in potential_edges.items() for _ in range(potential)]
+        return edges
+
+    edges = try_creation()
+    while edges is None:
+        edges = try_creation()
+    return np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+
+
+def _random_regular(degree: int, nodes: Sequence[Hashable], gen) -> CsrSnapshot:
+    """One pairing-model sample on ``nodes``, seeded by one draw from ``gen``."""
+    edges = _pairing_edges(degree, len(nodes), int(gen.integers(0, 2**32 - 1)))
+    return CsrSnapshot.from_edge_sequence(nodes, edges[:, 0], edges[:, 1])
+
+
+def _check_regular(nodes: Sequence[Hashable], degree: int) -> None:
+    n = len(nodes)
+    require_node_count(n, minimum=2)
+    require(0 < degree < n, f"degree must satisfy 0 < degree < n (degree={degree}, n={n})")
+    require(degree * n % 2 == 0, "degree * n must be even for a regular graph to exist")
+
+
 def random_regular_expander(
     degree: int,
     nodes: Iterable[Hashable],
     rng: RngLike = None,
     gap_threshold: float = EXPANDER_GAP_THRESHOLD,
     max_attempts: int = EXPANDER_MAX_ATTEMPTS,
-) -> nx.Graph:
+) -> CsrSnapshot:
     """Return a connected random ``degree``-regular graph with a verified gap.
 
     Section 4 of the paper only requires the two expanders glued to the
     cluster chain to have ``Φ = Θ(1)`` and constant degree.  Random regular
     graphs have this property with high probability; we verify the normalised
-    Laplacian gap and regenerate when a sample fails.
+    Laplacian gap and regenerate when a sample fails.  Each sample is the
+    graph ``networkx.random_regular_graph`` draws from the same seed.
 
     Parameters
     ----------
     degree:
         Regular degree (must satisfy ``degree < n`` and ``degree * n`` even).
     nodes:
-        Node labels; the generated graph is relabelled onto these.
+        Node labels, in the snapshot's node order.
     gap_threshold:
         Minimum accepted spectral gap; snapshots below it are resampled.
     """
     nodes = list(nodes)
     n = len(nodes)
-    require_node_count(n, minimum=2)
-    require(0 < degree < n, f"degree must satisfy 0 < degree < n (degree={degree}, n={n})")
-    require(degree * n % 2 == 0, "degree * n must be even for a regular graph to exist")
+    _check_regular(nodes, degree)
     gen = ensure_rng(rng)
     # Very small graphs cannot meet asymptotic gap thresholds; be lenient.
     effective_threshold = gap_threshold if n >= 8 else 0.0
     last_gap = 0.0
     for _ in range(max_attempts):
-        seed = int(gen.integers(0, 2**32 - 1))
-        candidate = nx.random_regular_graph(degree, n, seed=seed)
-        if not nx.is_connected(candidate):
+        candidate = _random_regular(degree, nodes, gen)
+        if not candidate.is_connected():
             continue
         last_gap = spectral_gap(candidate)
         if last_gap >= effective_threshold:
-            return nx.relabel_nodes(candidate, dict(zip(range(n), nodes)))
+            return candidate
     raise RuntimeError(
         f"failed to generate a {degree}-regular expander on {n} nodes after "
         f"{max_attempts} attempts (last spectral gap {last_gap:.4f} < "
@@ -389,7 +460,16 @@ def random_regular_expander(
 # Section 5.1 building blocks
 # ---------------------------------------------------------------------------
 
-def regular_connected_graph(nodes: Sequence[Hashable], degree: int, rng: RngLike = None) -> nx.Graph:
+def _circulant_edges(n: int, half: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Edges ``(i, i + o mod n)`` for ``i < n``, ``1 ≤ o ≤ half``, in that order."""
+    u_ids = np.repeat(np.arange(n), half)
+    v_ids = (u_ids + np.tile(np.arange(1, half + 1), n)) % n
+    return u_ids, v_ids
+
+
+def regular_connected_graph(
+    nodes: Sequence[Hashable], degree: int, rng: RngLike = None
+) -> CsrSnapshot:
     """Return a connected ``degree``-regular graph ``G(A, d₁)`` on ``nodes``.
 
     Uses a circulant construction (each node connected to its ``degree/2``
@@ -398,25 +478,15 @@ def regular_connected_graph(nodes: Sequence[Hashable], degree: int, rng: RngLike
     regular graphs for odd degrees.
     """
     nodes = list(nodes)
-    n = len(nodes)
-    require_node_count(n, minimum=2)
-    require(0 < degree < n, f"degree must satisfy 0 < degree < n (degree={degree}, n={n})")
-    require(degree * n % 2 == 0, "degree * n must be even for a regular graph to exist")
+    _check_regular(nodes, degree)
     if degree % 2 == 0:
-        half = degree // 2
-        graph = nx.Graph()
-        graph.add_nodes_from(nodes)
-        for i in range(n):
-            for offset in range(1, half + 1):
-                graph.add_edge(nodes[i], nodes[(i + offset) % n])
-        return graph
+        return CsrSnapshot.from_edge_sequence(nodes, *_circulant_edges(len(nodes), degree // 2))
     gen = ensure_rng(rng)
     for _ in range(EXPANDER_MAX_ATTEMPTS):
-        seed = int(gen.integers(0, 2**32 - 1))
-        candidate = nx.random_regular_graph(degree, n, seed=seed)
-        if nx.is_connected(candidate):
-            return nx.relabel_nodes(candidate, dict(zip(range(n), nodes)))
-    raise RuntimeError(f"failed to build a connected {degree}-regular graph on {n} nodes")
+        candidate = _random_regular(degree, nodes, gen)
+        if candidate.is_connected():
+            return candidate
+    raise RuntimeError(f"failed to build a connected {degree}-regular graph on {len(nodes)} nodes")
 
 
 def near_regular_with_hub(
@@ -425,19 +495,20 @@ def near_regular_with_hub(
     hub_degree: int,
     hub: Optional[Hashable] = None,
     rng: RngLike = None,
-) -> Tuple[nx.Graph, Hashable]:
+) -> Tuple[CsrSnapshot, Hashable]:
     """Return ``G(A, d₁, d₂)``: connected, all degrees ``d₁`` except one hub ``d₂``.
 
     The Section 5.1 construction needs a connected simple graph in which every
     node has (even) degree ``d₁`` apart from a single node of (even) degree
-    ``d₂ > d₁``.  We realise it as a circulant ``d₁``-regular graph plus
-    ``(d₂ - d₁)/2`` extra edge-disjoint "chords" through the hub, obtained by
-    taking a matching on ``d₂ - d₁`` non-neighbours of the hub, removing those
-    matching edges... — more simply: we connect the hub to ``d₂ - d₁`` extra
-    nodes and delete one edge between each *pair* of those extra neighbours so
-    their degrees are preserved.
+    ``d₂ > d₁``.  We start from the circulant ``d₁``-regular graph, pick
+    ``(d₂ - d₁)/2`` adjacent pairs of non-neighbours of the hub, delete each
+    pair's edge and join both of its nodes to the hub: the pair keeps degree
+    ``d₁`` and the hub gains ``d₂ - d₁``.  The circulant never reads ``rng``;
+    the parameter is kept for the signature's sake.
 
-    Returns ``(graph, hub_node)``.
+    Returns ``(graph, hub_node)``.  Raises ``RuntimeError`` if the rewiring
+    disconnects the graph (it removes no bridge of a circulant with
+    ``d₁ ≥ 4``, but may for ``d₁ = 2``).
     """
     nodes = list(nodes)
     n = len(nodes)
@@ -451,17 +522,25 @@ def near_regular_with_hub(
     )
     graph = regular_connected_graph(nodes, base_degree, rng=rng)
     hub = nodes[0] if hub is None else hub
-    require(hub in graph, f"hub {hub!r} must be one of the provided nodes")
+    require(hub in graph.index_of, f"hub {hub!r} must be one of the provided nodes")
     if extra == 0:
         return graph, hub
-    # Candidate new neighbours: nodes not currently adjacent to the hub.
-    non_neighbours = [u for u in nodes if u != hub and not graph.has_edge(hub, u)]
+    hub_id = graph.index_of[hub]
+    u_ids, v_ids = _circulant_edges(n, base_degree // 2)
+    # Each node's neighbours in the order the circulant added its edges.
+    owner = np.concatenate([u_ids, v_ids])
+    order = np.lexsort((np.tile(np.arange(len(u_ids)), 2), owner))
+    partner = np.concatenate([v_ids, u_ids])[order].tolist()
+    starts = np.searchsorted(owner[order], np.arange(n + 1)).tolist()
+    hub_neighbours = set(partner[starts[hub_id]:starts[hub_id + 1]])
+    non_neighbours = [u for u in range(n) if u != hub_id and u not in hub_neighbours]
     require(
         len(non_neighbours) >= extra,
         "not enough non-neighbours of the hub to raise its degree "
         f"(need {extra}, have {len(non_neighbours)})",
     )
-    chosen: List[Hashable] = []
+    chosen: List[int] = []
+    removed: List[int] = []
     # Pick pairs of chosen new neighbours that are currently adjacent to each
     # other, so deleting their shared edge keeps their degrees at d1 after we
     # attach them to the hub.
@@ -472,11 +551,11 @@ def near_regular_with_hub(
             break
         if u in used:
             continue
-        for v in graph.neighbors(u):
-            if v in candidate_set and v not in used and v != u and not graph.has_edge(hub, v):
+        for v in partner[starts[u]:starts[u + 1]]:
+            if v in candidate_set and v not in used:
                 chosen.extend([u, v])
                 used.update([u, v])
-                graph.remove_edge(u, v)
+                removed.append(min(u, v) * n + max(u, v))
                 break
     require(
         len(chosen) >= extra,
@@ -484,14 +563,16 @@ def near_regular_with_hub(
         "try a larger node set or a smaller hub_degree",
     )
     chosen = chosen[:extra]
-    for u in chosen:
-        graph.add_edge(hub, u)
-    if not nx.is_connected(graph):
-        # Rewiring removed a bridge (extremely unlikely on circulants with
-        # d1 >= 4, possible for d1 = 2).  Retry with a different rng draw.
-        gen = ensure_rng(rng)
-        return near_regular_with_hub(
-            nodes, base_degree, hub_degree, hub=hub, rng=int(gen.integers(0, 2**32 - 1))
+    keep = ~np.isin(np.minimum(u_ids, v_ids) * n + np.maximum(u_ids, v_ids), removed)
+    graph = CsrSnapshot.from_edge_sequence(
+        nodes,
+        np.concatenate([u_ids[keep], np.full(extra, hub_id)]),
+        np.concatenate([v_ids[keep], chosen]),
+    )
+    if not graph.is_connected():
+        raise RuntimeError(
+            f"rewiring {extra} edges through hub {hub!r} disconnected the "
+            f"{base_degree}-regular circulant on {n} nodes; use base_degree >= 4"
         )
     return graph, hub
 

@@ -14,15 +14,21 @@ The lower-bound family of Theorem 1.2 is built from snapshots of the form
 
 Observation 4.1 gives the analytic parameters used by the bounds:
 ``Φ(H_{k,Δ}) = Θ(Δ² / (kΔ² + n))`` and ``ρ(H_{k,Δ}) = Θ(1/Δ)``.
+
+The snapshot is assembled straight into CSR, in the node and entry order the
+networkx construction (chain, ``compose`` with each expander, then the
+attachment edges) gives, so the diligent network's random draws are those of
+that construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Hashable, Sequence, Tuple
 
-import networkx as nx
+import numpy as np
 
+from repro.graphs.csr import CsrSnapshot, compose_disjoint
 from repro.graphs.generators import complete_bipartite_chain, random_regular_expander
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require, require_node_count
@@ -38,7 +44,11 @@ class HkDeltaGraph:
     Attributes
     ----------
     graph:
-        The assembled simple graph.
+        The assembled simple graph as a :class:`CsrSnapshot`.  Its node order
+        is ``S_0, …, S_k``, then expander ``G₁``'s nodes, then ``G₂``'s (each
+        in the order of ``part_a``/``part_b``).  Spectral quantities read
+        from it depend on that order at the last bit; use
+        :meth:`CsrSnapshot.reordered` for another node order.
     part_a, part_b:
         The two sides of the partition (``A`` holds ``S_0`` and expander
         ``G₁``; ``B`` holds ``S_1..S_k`` and expander ``G₂``).
@@ -50,7 +60,7 @@ class HkDeltaGraph:
         Number of cluster-to-cluster hops (there are ``k + 1`` clusters).
     """
 
-    graph: nx.Graph
+    graph: CsrSnapshot
     part_a: Tuple[Hashable, ...]
     part_b: Tuple[Hashable, ...]
     clusters: Tuple[Tuple[Hashable, ...], ...]
@@ -60,7 +70,7 @@ class HkDeltaGraph:
     @property
     def n(self) -> int:
         """Total number of nodes."""
-        return self.graph.number_of_nodes()
+        return self.graph.n
 
     def analytic_conductance(self) -> float:
         """Return the Observation 4.1 value ``Δ² / (kΔ² + n)`` (up to Θ(1))."""
@@ -87,37 +97,22 @@ class HkDeltaGraph:
         return -1
 
 
-def _attach_cluster_to_expander(
-    graph: nx.Graph,
-    cluster: Sequence[Hashable],
-    expander_nodes: Sequence[Hashable],
-    delta: int,
-) -> None:
-    """Attach every node of ``cluster`` to ``delta`` distinct expander nodes.
+def _attachment_edges(
+    cluster_ids: np.ndarray, expander_base: int, expander_size: int, delta: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Join every cluster node to ``delta`` distinct expander nodes (union ids).
 
-    Edges are distributed round-robin over ``expander_nodes`` so each expander
-    node gains at most ``⌈Δ²/|expander|⌉`` extra edges — an additive constant
+    Edges are dealt round-robin over the expander, so each expander node
+    gains at most ``⌈Δ²/|expander|⌉`` extra edges — an additive constant
     whenever ``Δ² = O(|expander|)``, matching the paper's requirement.
     """
-    expander_nodes = list(expander_nodes)
     require(
-        len(expander_nodes) >= delta,
+        expander_size >= delta,
         "expander side too small to give each cluster node Δ distinct neighbours "
-        f"(need at least {delta}, have {len(expander_nodes)})",
+        f"(need at least {delta}, have {expander_size})",
     )
-    position = 0
-    total = len(expander_nodes)
-    for node in cluster:
-        attached = 0
-        scanned = 0
-        while attached < delta:
-            require(scanned <= 2 * total, "internal error: could not place cluster edges")
-            target = expander_nodes[position % total]
-            position += 1
-            scanned += 1
-            if target != node and not graph.has_edge(node, target):
-                graph.add_edge(node, target)
-                attached += 1
+    targets = expander_base + np.arange(len(cluster_ids) * delta) % expander_size
+    return np.repeat(cluster_ids, delta), targets
 
 
 def build_hk_delta(
@@ -171,15 +166,20 @@ def build_hk_delta(
     clusters = (cluster_s0, *clusters_b)
 
     # Step 1: the chain of complete bipartite graphs S_0 - S_1 - ... - S_k.
-    graph = complete_bipartite_chain(clusters)
+    chain = complete_bipartite_chain(clusters)
 
     # Step 2: the two 4-regular expanders, glued to S_0 and S_k respectively.
     expander_a = random_regular_expander(4, expander_a_nodes, rng=gen)
     expander_b = random_regular_expander(4, expander_b_nodes, rng=gen)
-    graph = nx.compose(graph, expander_a)
-    graph = nx.compose(graph, expander_b)
-    _attach_cluster_to_expander(graph, cluster_s0, expander_a_nodes, delta)
-    _attach_cluster_to_expander(graph, clusters[-1], expander_b_nodes, delta)
+    base_a = chain.n
+    base_b = base_a + expander_a.n
+    attach_a = _attachment_edges(np.arange(delta), base_a, expander_a.n, delta)
+    attach_b = _attachment_edges(np.arange(k * delta, base_a), base_b, expander_b.n, delta)
+    graph = compose_disjoint(
+        [chain, expander_a, expander_b],
+        np.concatenate([attach_a[0], attach_b[0]]),
+        np.concatenate([attach_a[1], attach_b[1]]),
+    )
 
     built = HkDeltaGraph(
         graph=graph,

@@ -24,6 +24,10 @@ volumes are integers below ``2⁵³``, so float64 division rounds like Python's
 spectral (Cheeger) bounds for ``Φ`` and a sampled-cut upper estimate for
 ``ρ``; the paper's own constructions expose analytic values via
 :class:`repro.dynamics.base.DynamicNetwork.known_metrics`.
+
+Every function reads a :class:`CsrSnapshot`; a ``networkx.Graph`` argument
+is converted first.  The per-cut helpers and the sampled estimate return
+exactly what the cut-by-cut networkx definitions do (``tests/graph_oracles.py``).
 """
 
 from __future__ import annotations
@@ -32,10 +36,15 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
-from repro.graphs.csr import CsrSnapshot, GraphLike, as_snapshot, normalized_laplacian_lambda2
+from repro.graphs.csr import (
+    CsrSnapshot,
+    GraphLike,
+    as_snapshot,
+    concatenated_neighbors,
+    normalized_laplacian_lambda2,
+)
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require, require_node_count
 
@@ -50,31 +59,48 @@ _CUT_CHUNK = 1 << 14
 # Elementary quantities
 # ---------------------------------------------------------------------------
 
-def volume(graph: nx.Graph, nodes: Optional[Iterable] = None) -> int:
+def _membership(snapshot: CsrSnapshot, subset: Iterable) -> np.ndarray:
+    """Boolean mask of ``subset`` over the snapshot's compact ids."""
+    index = snapshot.index_of
+    inside = np.zeros(snapshot.n, dtype=bool)
+    for u in subset:
+        if u not in index:
+            raise ValueError(f"node {u!r} not in graph")
+        inside[index[u]] = True
+    return inside
+
+
+def volume(graph: GraphLike, nodes: Optional[Iterable] = None) -> int:
     """Return ``vol(S) = Σ_{u∈S} d_u`` (or ``vol(G)`` when ``nodes`` is None)."""
+    snapshot = as_snapshot(graph)
     if nodes is None:
-        return 2 * graph.number_of_edges()
-    return sum(graph.degree(u) for u in nodes)
+        return 2 * snapshot.edge_count
+    index, degrees = snapshot.index_of, snapshot.degrees
+    total = 0
+    for u in nodes:
+        require(u in index, f"node {u!r} not in graph")
+        total += int(degrees[index[u]])
+    return total
 
 
-def cut_edges(graph: nx.Graph, subset: Iterable) -> Set[Tuple]:
+def cut_edges(graph: GraphLike, subset: Iterable) -> Set[Tuple]:
     """Return the set of edges crossing ``subset`` and its complement.
 
     Edges are returned with the endpoint inside ``subset`` first, which the
     simulators rely on when computing push/pull rates per crossing edge.
     """
-    inside = set(subset)
-    crossing = set()
-    for u in inside:
-        if u not in graph:
-            raise ValueError(f"node {u!r} not in graph")
-        for v in graph.neighbors(u):
-            if v not in inside:
-                crossing.add((u, v))
-    return crossing
+    snapshot = as_snapshot(graph)
+    inside = _membership(snapshot, subset)
+    owner, neighbour = snapshot.row_owner, snapshot.indices
+    crossing = inside[owner] & ~inside[neighbour]
+    labels = snapshot.nodes
+    return {
+        (labels[u], labels[v])
+        for u, v in zip(owner[crossing].tolist(), neighbour[crossing].tolist())
+    }
 
 
-def average_degree(graph: nx.Graph, nodes: Iterable) -> float:
+def average_degree(graph: GraphLike, nodes: Iterable) -> float:
     """Return ``d̄(S) = vol(S)/|S|`` for the node set ``nodes``."""
     nodes = list(nodes)
     require(len(nodes) > 0, "average_degree requires a non-empty node set")
@@ -85,19 +111,19 @@ def average_degree(graph: nx.Graph, nodes: Iterable) -> float:
 # Conductance
 # ---------------------------------------------------------------------------
 
-def conductance_of_cut(graph: nx.Graph, subset: Iterable) -> float:
+def conductance_of_cut(graph: GraphLike, subset: Iterable) -> float:
     """Return ``|E(S, S̄)| / min(vol(S), vol(S̄))`` for the cut defined by ``subset``.
 
     Raises ``ValueError`` when either side has zero volume (the ratio is not
     defined by Equation (2) in that case).
     """
-    subset = set(subset)
-    complement = set(graph.nodes()) - subset
-    vol_s = volume(graph, subset)
-    vol_c = volume(graph, complement)
-    denom = min(vol_s, vol_c)
+    snapshot = as_snapshot(graph)
+    inside = _membership(snapshot, subset)
+    vol_s = int(snapshot.degrees[inside].sum())
+    denom = min(vol_s, 2 * snapshot.edge_count - vol_s)
     require(denom > 0, "conductance_of_cut: both sides of the cut must have positive volume")
-    return len(cut_edges(graph, subset)) / denom
+    crossing = inside[snapshot.row_owner] & ~inside[snapshot.indices]
+    return int(crossing.sum()) / denom
 
 
 def _cut_minima(snapshot: CsrSnapshot) -> Tuple[float, float]:
@@ -107,8 +133,7 @@ def _cut_minima(snapshot: CsrSnapshot) -> Tuple[float, float]:
     both minima; with ``n = 1`` there is no cut and both stay ``inf``.
     """
     n, degrees = snapshot.n, snapshot.degrees
-    forward = snapshot.row_owner < snapshot.indices
-    u, v = snapshot.row_owner[forward], snapshot.indices[forward]
+    u, v = snapshot.forward_edges()
     # Heaviest edge first, so a cut's first crossing edge has its largest w_e.
     weight = np.minimum(degrees[u], degrees[v])
     order = np.argsort(-weight, kind="stable")
@@ -188,7 +213,22 @@ def conductance_estimate(graph: GraphLike) -> float:
 # Diligence
 # ---------------------------------------------------------------------------
 
-def diligence_of_cut(graph: nx.Graph, subset: Iterable) -> float:
+def _side_diligence(
+    inside: np.ndarray, u: np.ndarray, v: np.ndarray, weight: np.ndarray, vol_s: int, size: int
+) -> float:
+    """``ρ(S)`` of the side ``inside`` (``vol_s``, ``size`` nodes), ``inf`` if no edge crosses.
+
+    ``(u, v)`` lists every edge once and ``weight`` is ``min(d_u, d_v)`` per
+    edge.  IEEE division is monotone in the denominator, so
+    ``min_e max(d̄/d_u, d̄/d_v) = d̄ / max_e min(d_u, d_v)`` bit for bit.
+    """
+    crossing = inside[u] != inside[v]
+    if not crossing.any():
+        return math.inf
+    return (vol_s / size) / int(weight[crossing].max())
+
+
+def diligence_of_cut(graph: GraphLike, subset: Iterable) -> float:
     """Return ``ρ(S) = min_{(u,v)∈E(S,S̄)} max(d̄(S)/d_u, d̄(S)/d_v)``.
 
     ``subset`` must identify the *smaller-volume* side of the cut; the
@@ -196,22 +236,21 @@ def diligence_of_cut(graph: nx.Graph, subset: Iterable) -> float:
     takes ``d̄`` over the smaller side.  Returns ``inf`` when no edge crosses
     the cut (such cuts never constrain the minimum over connected graphs).
     """
-    subset = set(subset)
-    complement = set(graph.nodes()) - subset
-    require(len(subset) > 0 and len(complement) > 0, "cut must be a proper non-empty subset")
-    vol_s = volume(graph, subset)
-    vol_c = volume(graph, complement)
+    snapshot = as_snapshot(graph)
+    inside = _membership(snapshot, subset)
+    size = int(inside.sum())
+    require(0 < size < snapshot.n, "cut must be a proper non-empty subset")
+    vol_s = int(snapshot.degrees[inside].sum())
+    vol_c = 2 * snapshot.edge_count - vol_s
     require(vol_s > 0, "the chosen side of the cut must have positive volume")
     require(
         vol_s <= vol_c,
         "diligence_of_cut expects the smaller-volume side of the cut "
         f"(vol(S)={vol_s} > vol(S̄)={vol_c})",
     )
-    crossing = cut_edges(graph, subset)
-    if not crossing:
-        return math.inf
-    d_bar = vol_s / len(subset)
-    return min(max(d_bar / graph.degree(u), d_bar / graph.degree(v)) for u, v in crossing)
+    u, v = snapshot.forward_edges()
+    weight = np.minimum(snapshot.degrees[u], snapshot.degrees[v])
+    return _side_diligence(inside, u, v, weight, vol_s, size)
 
 
 def diligence_exact(graph: GraphLike) -> float:
@@ -224,8 +263,22 @@ def diligence_exact(graph: GraphLike) -> float:
     return _exact_cut_metrics(graph, "diligence_exact", "diligence_sampled")[1]
 
 
+def _ball(snapshot: CsrSnapshot, centre: int, radius: int) -> np.ndarray:
+    """Mask of the nodes within ``radius`` hops of compact node ``centre``."""
+    seen = np.zeros(snapshot.n, dtype=bool)
+    seen[centre] = True
+    frontier = np.array([centre], dtype=np.int64)
+    for _ in range(radius):
+        reached = concatenated_neighbors(snapshot, frontier)
+        frontier = np.unique(reached[~seen[reached]])
+        if not frontier.size:
+            break
+        seen[frontier] = True
+    return seen
+
+
 def diligence_sampled(
-    graph: nx.Graph,
+    graph: GraphLike,
     samples: int = 200,
     rng: RngLike = None,
 ) -> float:
@@ -236,49 +289,51 @@ def diligence_sampled(
     single-node cuts, random balanced bisections, and BFS-ball cuts around a
     random centre.
     """
-    require_node_count(graph.number_of_nodes(), minimum=2)
-    if graph.number_of_edges() == 0 or not nx.is_connected(graph):
+    snapshot = as_snapshot(graph)
+    n = snapshot.n
+    require_node_count(n, minimum=2)
+    if not snapshot.is_connected():
         return 0.0
     gen = ensure_rng(rng)
-    nodes = list(graph.nodes())
-    total_volume = volume(graph)
-    best = math.inf
+    degrees = snapshot.degrees
+    total_volume = 2 * snapshot.edge_count
+    u, v = snapshot.forward_edges()
+    weight = np.minimum(degrees[u], degrees[v])
 
-    def consider(subset: Set) -> None:
-        nonlocal best
-        if not subset or len(subset) == len(nodes):
-            return
-        # Connected, so both sides have positive volume; ρ reads the smaller.
-        side = subset if 2 * volume(graph, subset) <= total_volume else set(nodes) - subset
-        best = min(best, diligence_of_cut(graph, side))
+    # Single-node cuts, often the minimiser when degrees are skewed: the
+    # crossing edges of {x} are x's own, and ρ reads the smaller side.
+    entry_weight = np.minimum(degrees[snapshot.row_owner], degrees[snapshot.indices])
+    heaviest = np.maximum.reduceat(entry_weight, snapshot.indptr[:-1])
+    alone = 2 * degrees <= total_volume
+    d_bar = np.where(alone, degrees / 1, (total_volume - degrees) / (n - 1))
+    best = float((d_bar / heaviest).min())
 
-    # Single-node cuts: often the minimiser when degrees are skewed.
-    for u in nodes:
-        consider({u})
     for _ in range(samples):
-        mode = gen.integers(0, 2)
-        if mode == 0:
-            size = int(gen.integers(1, len(nodes)))
-            subset = set(gen.choice(nodes, size=size, replace=False).tolist())
+        if gen.integers(0, 2) == 0:
+            size = int(gen.integers(1, n))
+            inside = np.zeros(n, dtype=bool)
+            inside[gen.choice(n, size=size, replace=False)] = True
         else:
-            centre = nodes[int(gen.integers(0, len(nodes)))]
-            radius = int(gen.integers(1, 4))
-            subset = set(nx.single_source_shortest_path_length(graph, centre, cutoff=radius))
-        consider(subset)
-    return best if best is not math.inf else 1.0
+            centre = int(gen.integers(0, n))
+            inside = _ball(snapshot, centre, int(gen.integers(1, 4)))
+        size = int(inside.sum())
+        if size == n:
+            continue
+        # Connected, so both sides have positive volume; ρ reads the smaller.
+        vol = int(degrees[inside].sum())
+        if 2 * vol > total_volume:
+            inside, vol, size = ~inside, total_volume - vol, n - size
+        best = min(best, _side_diligence(inside, u, v, weight, vol, size))
+    return best
 
 
 # ---------------------------------------------------------------------------
 # Absolute diligence and other degree statistics
 # ---------------------------------------------------------------------------
 
-def absolute_diligence(graph: nx.Graph) -> float:
+def absolute_diligence(graph: GraphLike) -> float:
     """Return ``ρ̄(G) = min_{(u,v)∈E} max(1/d_u, 1/d_v)``; 0 for empty graphs."""
-    if graph.number_of_edges() == 0:
-        return 0.0
-    return min(
-        max(1.0 / graph.degree(u), 1.0 / graph.degree(v)) for u, v in graph.edges()
-    )
+    return as_snapshot(graph).absolute_diligence()
 
 
 def degree_variation_ratio(degree_history: Dict) -> float:
@@ -358,7 +413,7 @@ def measure_graph(graph: GraphLike, sampled_cuts: int = 200, rng: RngLike = None
         phi, rho = _exact_cut_metrics(snapshot, "measure_graph", "the estimates")
     else:
         phi = conductance_estimate(snapshot)
-        rho = diligence_sampled(snapshot.to_networkx(), sampled_cuts, rng)
+        rho = diligence_sampled(snapshot, sampled_cuts, rng)
     return GraphMetrics(
         conductance=phi, diligence=rho, absolute_diligence=snapshot.absolute_diligence(),
         connected=snapshot.is_connected(), n=n, exact=exact,

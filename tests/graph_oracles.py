@@ -1,19 +1,21 @@
 """networkx constructions kept as test oracles for the CSR builders.
 
-The library builds every elementary topology straight into CSR
-(``repro.graphs.generators.*_csr``).  These networkx versions are the
-independent second construction the tests compare those builders against,
-and a convenient way to hand small hand-made graphs to the networks that
-accept networkx input.
+The library builds every graph family straight into CSR.  These networkx
+versions are the independent second construction the tests compare those
+builders against (bit for bit, through ``CsrSnapshot.from_networkx``), the
+cut-by-cut definitions the CSR metrics must reproduce, and a convenient way
+to hand small hand-made graphs to the networks that accept networkx input.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable
 
 import networkx as nx
 
-from repro.graphs.csr import CsrSnapshot
+from repro.graphs.csr import CsrSnapshot, normalized_laplacian_lambda2
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import require, require_node_count
 
 
@@ -125,3 +127,169 @@ def has_edge(snapshot: CsrSnapshot, u: Hashable, v: Hashable) -> bool:
 def degree(snapshot: CsrSnapshot, label: Hashable) -> int:
     """Degree of the node labelled ``label``."""
     return snapshot.degree(snapshot.index_of[label])
+
+
+# ---------------------------------------------------------------------------
+# Expanders, Section 5.1 and H_{k,Δ}: the networkx constructions the CSR
+# builders replay edge for edge.
+# ---------------------------------------------------------------------------
+
+def complete_bipartite_chain(clusters) -> nx.Graph:
+    """Consecutive clusters joined completely, nodes added cluster by cluster."""
+    graph = nx.Graph()
+    for cluster in clusters:
+        graph.add_nodes_from(cluster)
+    for left, right in zip(clusters, clusters[1:]):
+        graph.add_edges_from((u, v) for u in left for v in right)
+    return graph
+
+
+def random_regular_expander(degree, nodes, rng=None, gap_threshold=0.1, max_attempts=25):
+    """``networkx.random_regular_graph`` samples until connected with a gap."""
+    nodes = list(nodes)
+    n = len(nodes)
+    gen = ensure_rng(rng)
+    threshold = gap_threshold if n >= 8 else 0.0
+    for _ in range(max_attempts):
+        candidate = nx.random_regular_graph(degree, n, seed=int(gen.integers(0, 2**32 - 1)))
+        if not nx.is_connected(candidate):
+            continue
+        if max(normalized_laplacian_lambda2(candidate), 0.0) >= threshold:
+            return nx.relabel_nodes(candidate, dict(zip(range(n), nodes)))
+    raise RuntimeError("no expander")
+
+
+def regular_connected_graph(nodes, degree, rng=None) -> nx.Graph:
+    """Circulant for even ``degree``, connected random regular graph for odd."""
+    nodes = list(nodes)
+    n = len(nodes)
+    if degree % 2 == 0:
+        graph = nx.Graph()
+        graph.add_nodes_from(nodes)
+        for i in range(n):
+            for offset in range(1, degree // 2 + 1):
+                graph.add_edge(nodes[i], nodes[(i + offset) % n])
+        return graph
+    gen = ensure_rng(rng)
+    for _ in range(25):
+        candidate = nx.random_regular_graph(degree, n, seed=int(gen.integers(0, 2**32 - 1)))
+        if nx.is_connected(candidate):
+            return nx.relabel_nodes(candidate, dict(zip(range(n), nodes)))
+    raise RuntimeError("no connected regular graph")
+
+
+def near_regular_with_hub(nodes, base_degree, hub_degree, hub=None, rng=None):
+    """The circulant rewired through ``hub``: returns ``(graph, hub)``."""
+    nodes = list(nodes)
+    extra = hub_degree - base_degree
+    graph = regular_connected_graph(nodes, base_degree, rng=rng)
+    hub = nodes[0] if hub is None else hub
+    if extra == 0:
+        return graph, hub
+    non_neighbours = [u for u in nodes if u != hub and not graph.has_edge(hub, u)]
+    candidate_set = set(non_neighbours)
+    chosen, used = [], set()
+    for u in non_neighbours:
+        if len(chosen) >= extra:
+            break
+        if u in used:
+            continue
+        for v in graph.neighbors(u):
+            if v in candidate_set and v not in used and v != u and not graph.has_edge(hub, v):
+                chosen.extend([u, v])
+                used.update([u, v])
+                graph.remove_edge(u, v)
+                break
+    for u in chosen[:extra]:
+        graph.add_edge(hub, u)
+    return graph, hub
+
+
+def hk_delta_graph(part_a, part_b, k, delta, rng=None) -> nx.Graph:
+    """``H_{k,Δ}(A, B)``: chain, ``compose`` with two expanders, attachments."""
+    gen = ensure_rng(rng)
+    part_a, part_b = list(part_a), list(part_b)
+    expander_a_nodes, expander_b_nodes = part_a[delta:], part_b[k * delta:]
+    clusters = [part_a[:delta]] + [part_b[i * delta:(i + 1) * delta] for i in range(k)]
+    graph = complete_bipartite_chain(clusters)
+    graph = nx.compose(graph, random_regular_expander(4, expander_a_nodes, rng=gen))
+    graph = nx.compose(graph, random_regular_expander(4, expander_b_nodes, rng=gen))
+    for cluster, expander in ((clusters[0], expander_a_nodes), (clusters[-1], expander_b_nodes)):
+        position = 0
+        for node in cluster:
+            attached = 0
+            while attached < delta:
+                target = expander[position % len(expander)]
+                position += 1
+                if not graph.has_edge(node, target):
+                    graph.add_edge(node, target)
+                    attached += 1
+    return graph
+
+
+def proximity_graph(positions, side, radius, torus) -> nx.Graph:
+    """Agents within Chebyshev distance ``radius``, scanned cell by cell."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(positions)))
+    buckets = {}
+    for agent, (x, y) in enumerate(positions.tolist()):
+        buckets.setdefault((x, y), []).append(agent)
+    for (x, y), members in buckets.items():
+        for dx in range(-radius, radius + 1):
+            for dy in range(-radius, radius + 1):
+                other = ((x + dx) % side, (y + dy) % side) if torus else (x + dx, y + dy)
+                for a in members:
+                    for b in buckets.get(other, ()):
+                        if a < b:
+                            graph.add_edge(a, b)
+    return graph
+
+
+# ---------------------------------------------------------------------------
+# Cut metrics evaluated cut by cut on networkx graphs
+# ---------------------------------------------------------------------------
+
+def diligence_of_cut(graph: nx.Graph, side) -> float:
+    """``min`` over crossing edges of ``max(d̄/d_u, d̄/d_v)``; ``inf`` if none cross."""
+    side = set(side)
+    crossing = [(u, v) for u in side for v in graph.neighbors(u) if v not in side]
+    if not crossing:
+        return math.inf
+    d_bar = sum(graph.degree(u) for u in side) / len(side)
+    return min(max(d_bar / graph.degree(u), d_bar / graph.degree(v)) for u, v in crossing)
+
+
+def diligence_sampled(graph: nx.Graph, samples: int = 200, rng=None) -> float:
+    """Single-node, random and BFS-ball cuts, drawn as the library draws them."""
+    if graph.number_of_edges() == 0 or not nx.is_connected(graph):
+        return 0.0
+    gen = ensure_rng(rng)
+    nodes = list(graph.nodes())
+    total = 2 * graph.number_of_edges()
+    best = math.inf
+
+    def consider(subset):
+        nonlocal best
+        if len(subset) == len(nodes):
+            return
+        side = subset if 2 * sum(graph.degree(u) for u in subset) <= total else set(nodes) - subset
+        best = min(best, diligence_of_cut(graph, side))
+
+    for u in nodes:
+        consider({u})
+    for _ in range(samples):
+        if gen.integers(0, 2) == 0:
+            size = int(gen.integers(1, len(nodes)))
+            consider(set(gen.choice(nodes, size=size, replace=False).tolist()))
+        else:
+            centre = nodes[int(gen.integers(0, len(nodes)))]
+            radius = int(gen.integers(1, 4))
+            consider(set(nx.single_source_shortest_path_length(graph, centre, cutoff=radius)))
+    return best
+
+
+def absolute_diligence(graph: nx.Graph) -> float:
+    """``min`` over edges of ``max(1/d_u, 1/d_v)``; 0 without edges."""
+    if graph.number_of_edges() == 0:
+        return 0.0
+    return min(max(1.0 / graph.degree(u), 1.0 / graph.degree(v)) for u, v in graph.edges())

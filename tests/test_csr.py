@@ -279,6 +279,36 @@ class TestNoNetworkxOrScipy:
         payload = measure_point(point)
         assert payload["n"] == point.build_network().n
 
+    @pytest.mark.parametrize(
+        ("network", "params"),
+        [
+            ("diligent", {"n": 120, "rho": 0.25}),
+            ("absolute-diligent", {"n": 60, "rho": 0.25}),
+            ("mobile-agents", {"n": 20, "side": 5, "radius": 1}),
+            ("expander", {"n": 40, "degree": 4}),
+        ],
+    )
+    def test_trials_points_on_former_networkx_families_build_no_networkx_graph(
+        self, monkeypatch, network, params
+    ):
+        monkeypatch.setattr(nx.Graph, "__init__", _forbidden)
+        point = Scenario.from_dict({
+            "label": "csr-native", "kind": "trials", "network": network,
+            "params": params, "trials": 3, "seed": 0, "max_time": 200.0,
+        }).points()[0]
+        payload = measure_point(point)
+        assert payload["summary"]["trials"] == 3
+
+    def test_hk_snapshot_point_builds_no_networkx_graph(self, monkeypatch):
+        monkeypatch.setattr(nx.Graph, "__init__", _forbidden)
+        point = Scenario.from_dict({
+            "label": "csr-hk", "kind": "hk_snapshot", "sweep_name": "delta", "sweep": [4],
+            "options": {"n": 200}, "seed": 0,
+        }).points()[0]
+        payload = measure_point(point)
+        assert payload["measured_abs_diligence"] == payload["analytic_abs_diligence"]
+        assert 0 < payload["cheeger_lower"] <= payload["cheeger_upper"]
+
     def test_expander_and_spectral_bounds_run_without_scipy(self, monkeypatch):
         for name in [name for name in sys.modules if name.split(".")[0] == "scipy"]:
             monkeypatch.delitem(sys.modules, name)
@@ -305,3 +335,36 @@ class TestNoNetworkxOrScipy:
             expected = float(np.sort(np.linalg.eigvalsh(laplacian))[1])
             assert normalized_laplacian_lambda2(graph) == expected
             assert normalized_laplacian_lambda2(CsrSnapshot.from_networkx(graph)) == expected
+
+
+_IMPORT_PROBE = """
+import sys
+import repro, repro.cli, repro.api, repro.scenarios, repro.service, repro.distributed
+assert "networkx" not in sys.modules, "importing repro loaded networkx"
+
+# networkx input still works: the conversion imports nothing up front.
+import networkx as nx
+from repro import StaticDynamicNetwork, api
+
+graph = nx.path_graph(6)
+result = api.run(network=graph, seed=0).once()
+assert result.completed and result.n == 6, result
+network = StaticDynamicNetwork(graph)
+network.reset(0)
+assert network.snapshot_for_step(0, frozenset()).edge_count == 5
+assert api.run(network=network, seed=0).once().spread_time == result.spread_time
+print("ok")
+"""
+
+
+def test_repro_imports_leave_networkx_unloaded():
+    import os
+    import subprocess
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "ok"
