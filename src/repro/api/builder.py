@@ -623,11 +623,15 @@ def run(
 def bind_point(point: ScenarioPoint, max_time: Optional[float] = None) -> RunBuilder:
     """Bind one scenario point to a :class:`RunBuilder` (seed policy included).
 
-    The builder reproduces the scenario execution semantics exactly: the
-    network is built from the point's network seed stream, trials consume the
-    point's trial stream, and algorithm/variant/engine/fault options carry
-    over.  ``max_time`` overrides the horizon (the measurement layer passes
-    the resolved value, including probe-derived policies); otherwise the
+    The builder reproduces the scenario execution semantics exactly: trials
+    consume the point's trial stream, and algorithm/variant/engine/fault
+    options carry over.  The point's network is built here, once, through
+    :meth:`ScenarioPoint.build_network`, and the builder holds that instance
+    (``builder.spec.network``): every trial reuses it, because each run
+    starts with ``network.reset(rng)`` and a reset network yields exactly the
+    snapshots of a freshly built one.  Callers that need a probe network (a
+    ``max_time_policy``, ``probe`` columns) read it from the spec instead of
+    building another.  ``max_time`` overrides the horizon; otherwise the
     scenario's explicit ``max_time`` applies.
     """
     scenario = point.scenario
@@ -639,7 +643,7 @@ def bind_point(point: ScenarioPoint, max_time: Optional[float] = None) -> RunBui
     _, run_seq = point.seed_sequences()
     options = scenario.options
     spec = RunSpec(
-        network=point.build_network,
+        network=point.build_network(),
         algorithm=scenario.algorithm,
         variant=scenario.variant,
         engine=scenario.engine,
@@ -674,8 +678,8 @@ def sweep_scenario(scenario: Scenario) -> SweepFrame:
     points = []
     values = []
     for point in scenario.points():
-        probe = point.build_network()
-        builder = bind_point(point, max_time=resolve_max_time(scenario, probe))
+        builder = bind_point(point)
+        builder = builder.max_time(resolve_max_time(scenario, builder.spec.network))
         points.append(builder.collect())
         values.append(point.value)
     return SweepFrame(

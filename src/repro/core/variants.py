@@ -21,8 +21,6 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require
 
@@ -116,26 +114,37 @@ def forward_two_push_chain(
     )
     require(informed_counts[0] >= 1, "at least one node of S_0 must start informed")
 
+    # Every event draws what the old loop with ``gen.choice(k, p=w / w.sum())``
+    # drew: the exponential wait, choice's one uniform, the acceptance
+    # uniform.  The cluster pick repeats choice's float arithmetic: running
+    # sums of ``count / total``, each divided by the last, and the first
+    # index whose value exceeds the uniform (a right-side search).
+    exponential, uniform = gen.exponential, gen.random
+    pushers = informed_counts[0]  # informed nodes of S_0 .. S_{k-1}
     now = 0.0
-    while True:
-        # Only informed nodes in clusters 0..k-1 can push forward.
-        pushers = sum(informed_counts[:k])
-        if pushers == 0:
-            break
-        rate = 2.0 * pushers
-        wait = gen.exponential(1.0 / rate)
-        now += wait
+    while pushers:
+        now += exponential(1.0 / (2.0 * pushers))
         if now > duration:
             break
-        # Pick the pushing cluster proportionally to its informed count.
-        weights = np.array(informed_counts[:k], dtype=float)
-        index = int(gen.choice(k, p=weights / weights.sum()))
+        pick = uniform()
+        total = float(pushers)
+        cumulative = []
+        acc = 0.0
+        for count in informed_counts[:k]:
+            acc += count / total
+            cumulative.append(acc)
+        last = cumulative[-1]
+        index = 0
+        while cumulative[index] / last <= pick:
+            index += 1
         target_cluster = index + 1
         target_size = cluster_sizes[target_cluster]
         # The push hits a uniformly random node of the next cluster; it only
         # matters if that node was still uninformed.
-        if gen.random() < (target_size - informed_counts[target_cluster]) / target_size:
+        if uniform() < (target_size - informed_counts[target_cluster]) / target_size:
             informed_counts[target_cluster] += 1
+            if target_cluster < k:
+                pushers += 1
     return informed_counts
 
 

@@ -29,7 +29,7 @@ from repro.dynamics.base import DynamicNetwork
 from repro.graphs.csr import CsrSnapshot, compose_disjoint
 from repro.graphs.generators import near_regular_with_hub, regular_connected_graph
 from repro.graphs.metrics import GraphMetrics
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 from repro.utils.validation import require, require_node_count
 
 
@@ -54,7 +54,9 @@ class AbsolutelyDiligentNetwork(DynamicNetwork):
         Target absolute diligence; ``Δ`` is the even member of
         ``{⌈1/ρ⌉, ⌈1/ρ⌉+1}`` so every snapshot is absolutely ``1/(Δ+1)``-diligent.
     rng:
-        Seed / generator for the random components of the regular graphs.
+        Ignored; accepted for backward compatibility.  The random components
+        of the regular graphs are drawn from the generator passed to
+        ``reset``.
     """
 
     def __init__(self, n: int, rho: float, rng: RngLike = None):
@@ -71,7 +73,6 @@ class AbsolutelyDiligentNetwork(DynamicNetwork):
         self.rho = rho
         self.delta = delta
         self._size_a0 = size_a
-        self._base_rng = ensure_rng(rng)
         self._run_rng = None
         self._part_b: Optional[frozenset] = None
         self._snapshot: Optional[CsrSnapshot] = None

@@ -21,13 +21,22 @@ must be called with strictly increasing ``t`` within a run (adaptive
 constructions keep per-run state such as "re-use the previous snapshot").  A
 network that keeps its snapshot across steps returns the same object, which
 lets the engines skip rebuilding their contact rates.
+
+``reset(rng)`` carries all per-run state: subclasses clear and re-seed it in
+``_on_reset``, and construction holds only what every run shares.  A network
+built once and reset before each run therefore yields the same snapshots as
+a freshly built one, which is how a scenario point builds its network once
+and reuses it for all of its trials.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 from typing import AbstractSet, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graphs.csr import CsrSnapshot
 from repro.graphs.metrics import GraphMetrics, measure_graph
@@ -177,7 +186,8 @@ class SnapshotRecorder:
         self._track_degrees = track_degrees
         self._rng = ensure_rng(rng)
         self.steps: List[RecordedStep] = []
-        self.degree_history: Dict[Hashable, List[int]] = {}
+        # One (node labels, degree array) pair per recorded step.
+        self._degree_rows: List[Tuple[Tuple[Hashable, ...], np.ndarray]] = []
 
     def record(
         self,
@@ -204,8 +214,21 @@ class SnapshotRecorder:
             )
         self.steps.append(RecordedStep(t=t, metrics=metrics, informed_count=informed_count))
         if self._track_degrees:
-            for node, degree in zip(snapshot.nodes, snapshot.degrees):
-                self.degree_history.setdefault(node, []).append(int(degree))
+            self._degree_rows.append((snapshot.nodes, snapshot.degrees))
+
+    @property
+    def degree_history(self) -> Dict[Hashable, List[int]]:
+        """Each node's degree at every recorded step, in step order.
+
+        Built when read from the stored degree arrays; consecutive steps over
+        the same node tuple are stacked and converted as one block.
+        """
+        history: Dict[Hashable, List[int]] = {}
+        for nodes, rows in groupby(self._degree_rows, key=lambda row: row[0]):
+            columns = np.stack([degrees for _, degrees in rows], axis=1).tolist()
+            for node, column in zip(nodes, columns):
+                history.setdefault(node, []).extend(column)
+        return history
 
     def conductance_series(self) -> List[float]:
         """Per-step conductance values in step order."""

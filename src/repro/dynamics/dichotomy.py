@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
+import numpy as np
+
 from repro.dynamics.base import DynamicNetwork
 from repro.graphs.csr import CsrSnapshot
 from repro.graphs.generators import (
@@ -110,15 +112,18 @@ class DynamicStarNetwork(DynamicNetwork):
         self._last_center = None
 
     def _pick_center(self, informed: frozenset) -> int:
-        uninformed = [u for u in self.nodes if u not in informed]
-        if uninformed:
-            if self._randomize and self._run_rng is not None:
-                return int(self._run_rng.choice(uninformed))
-            return uninformed[0]
-        candidates = [u for u in self.nodes if u != self._last_center]
+        # Labels equal compact ids (0..n), so the candidates are id arrays in
+        # label order; ``Generator.choice`` draws the same index from an
+        # array as from the equivalent list.
+        candidates = np.ones(self.n, dtype=bool)
+        if len(informed) < self.n:
+            candidates[np.fromiter(informed, dtype=np.int64, count=len(informed))] = False
+        else:
+            candidates[self._last_center] = False
+        candidates = np.flatnonzero(candidates)
         if self._randomize and self._run_rng is not None:
             return int(self._run_rng.choice(candidates))
-        return candidates[0]
+        return int(candidates[0])
 
     def _center_for(self, t: int, informed: frozenset) -> int:
         center = 0 if t == 0 else self._pick_center(informed)

@@ -26,7 +26,7 @@ from repro.dynamics.base import DynamicNetwork
 from repro.graphs.csr import CsrSnapshot
 from repro.graphs.hk_delta import HkDeltaGraph, build_hk_delta, minimum_side_sizes
 from repro.graphs.metrics import GraphMetrics
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 from repro.utils.validation import require, require_node_count
 
 
@@ -50,8 +50,10 @@ class DiligentDynamicNetwork(DynamicNetwork):
     k:
         Chain length; defaults to ``Θ(log n / log log n)``.
     rng:
-        Seed / generator for the expander components.  ``reset`` re-derives a
-        per-run generator so independent trials see independent expanders.
+        Ignored; accepted for backward compatibility.  Every random
+        component (the expanders of each rebuilt ``H_{k,Δ}``) is drawn from
+        the generator passed to ``reset``, so independent runs see
+        independent expanders.
     """
 
     def __init__(
@@ -80,7 +82,6 @@ class DiligentDynamicNetwork(DynamicNetwork):
         self.delta = delta
         self.k = k
         self._size_a0 = size_a
-        self._base_rng = ensure_rng(rng)
         self._run_rng = None
         self._part_b: Optional[frozenset] = None
         self._current: Optional[HkDeltaGraph] = None

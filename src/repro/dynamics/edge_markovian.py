@@ -18,7 +18,7 @@ import numpy as np
 from repro.dynamics.base import DynamicNetwork
 from repro.graphs.csr import CsrSnapshot, GraphLike, as_snapshot
 from repro.graphs.generators import condensed_to_pair, pair_to_condensed
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 from repro.utils.validation import require, require_node_count, require_probability
 
 
@@ -39,8 +39,10 @@ class EdgeMarkovianNetwork(DynamicNetwork):
         the stationary distribution, an Erdős–Rényi graph with edge
         probability ``p / (p + q)``.
     rng:
-        Seed / generator.  ``reset`` derives a per-run generator, so repeated
-        runs see independent trajectories unless seeded explicitly.
+        Ignored; accepted for backward compatibility.  The stationary start
+        and every edge flip are drawn from the generator passed to
+        ``reset``, so runs reset with different seeds see independent
+        trajectories.
     """
 
     def __init__(
@@ -75,7 +77,6 @@ class EdgeMarkovianNetwork(DynamicNetwork):
             forward = u_labels < v_labels
             self._initial_state = np.zeros(n * (n - 1) // 2, dtype=bool)
             self._initial_state[pair_to_condensed(u_labels[forward], v_labels[forward], n)] = True
-        self._base_rng = ensure_rng(rng)
         self._run_rng = None
         # Condensed upper-triangle edge state of the current snapshot.
         self._edge_state: Optional[np.ndarray] = None

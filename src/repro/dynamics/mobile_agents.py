@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.dynamics.base import DynamicNetwork
 from repro.graphs.csr import CsrSnapshot
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 from repro.utils.validation import require, require_node_count, require_positive
 
 #: The four axis-aligned moves plus "stay put" (lazy walk keeps the chain aperiodic).
@@ -44,7 +44,8 @@ class MobileAgentsNetwork(DynamicNetwork):
         If True (default) the grid wraps around; otherwise walks reflect at
         the boundary.
     rng:
-        Seed / generator for initial placement and the walks.
+        Ignored; accepted for backward compatibility.  Initial placement and
+        the walks are drawn from the generator passed to ``reset``.
     """
 
     def __init__(
@@ -62,7 +63,6 @@ class MobileAgentsNetwork(DynamicNetwork):
         self.side = side
         self.radius = radius
         self.torus = torus
-        self._base_rng = ensure_rng(rng)
         self._run_rng = None
         self._positions: Optional[np.ndarray] = None
 

@@ -339,15 +339,13 @@ def as_snapshot(graph: GraphLike) -> CsrSnapshot:
     return graph if isinstance(graph, CsrSnapshot) else CsrSnapshot.from_networkx(graph)
 
 
-def normalized_laplacian_lambda2(graph: GraphLike) -> float:
-    """Second-smallest eigenvalue of the normalised Laplacian ``I − D^-½ A D^-½``.
+def normalized_laplacian(graph: GraphLike) -> np.ndarray:
+    """Dense normalised Laplacian ``I − D^-½ A D^-½`` of ``graph``.
 
-    The dense matrix is built from the edge arrays as
-    ``dh[:, None] * ((D − A) * dh[None, :])`` with ``dh = 1/√d`` (0 for
-    isolated nodes), so every entry is the same single product
-    ``networkx.normalized_laplacian_matrix`` forms and the eigenvalues agree
-    bit for bit, without the scipy dependency networkx needs for it.
-    Requires ``n ≥ 2``.
+    Built from the edge arrays as ``dh[:, None] * ((D − A) * dh[None, :])``
+    with ``dh = 1/√d`` (0 for isolated nodes), so every entry is the same
+    single product ``networkx.normalized_laplacian_matrix`` forms, without
+    the scipy dependency networkx needs for it.
     """
     snapshot = as_snapshot(graph)
     degrees = snapshot.degrees.astype(np.float64)
@@ -356,8 +354,17 @@ def normalized_laplacian_lambda2(graph: GraphLike) -> float:
     dh = np.zeros(snapshot.n)
     positive = degrees > 0
     dh[positive] = 1.0 / np.sqrt(degrees[positive])
-    laplacian = dh[:, None] * (laplacian * dh[None, :])
-    return float(np.sort(np.linalg.eigvalsh(laplacian))[1])
+    return dh[:, None] * (laplacian * dh[None, :])
+
+
+def normalized_laplacian_lambda2(graph: GraphLike) -> float:
+    """Second-smallest eigenvalue of the normalised Laplacian ``I − D^-½ A D^-½``.
+
+    The eigenvalues agree bit for bit with those of
+    ``networkx.normalized_laplacian_matrix`` (see :func:`normalized_laplacian`).
+    Requires ``n ≥ 2``.
+    """
+    return float(np.sort(np.linalg.eigvalsh(normalized_laplacian(graph)))[1])
 
 
 def compose_disjoint(
@@ -403,5 +410,6 @@ __all__ = [
     "as_snapshot",
     "compose_disjoint",
     "concatenated_neighbors",
+    "normalized_laplacian",
     "normalized_laplacian_lambda2",
 ]

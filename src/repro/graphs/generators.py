@@ -28,7 +28,13 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.csr import CsrSnapshot, GraphLike, as_snapshot, normalized_laplacian_lambda2
+from repro.graphs.csr import (
+    CsrSnapshot,
+    GraphLike,
+    as_snapshot,
+    normalized_laplacian,
+    normalized_laplacian_lambda2,
+)
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require, require_node_count, require_probability
 
@@ -348,6 +354,51 @@ def spectral_gap(graph: GraphLike) -> float:
     return max(normalized_laplacian_lambda2(snapshot), 0.0)
 
 
+#: Half-width of the band around a gap threshold inside which the Cholesky
+#: test defers to ``eigvalsh``; far wider than either method's rounding error.
+GAP_TEST_TOLERANCE = 1e-9
+
+
+def has_spectral_gap(graph: GraphLike, threshold: float) -> bool:
+    """Decide ``spectral_gap(graph) >= threshold``, by Cholesky where it can.
+
+    With ``v = √d / ‖√d‖``, the kernel vector of the normalised Laplacian
+    ``L``, the matrix ``L − θI + (threshold + 1)·vvᵀ`` is positive definite
+    exactly when ``λ₂ > θ``.  A Cholesky factorisation at
+    ``θ = threshold + ε`` that succeeds accepts, one at ``threshold − ε``
+    that fails rejects, and only a gap within ``ε``
+    (:data:`GAP_TEST_TOLERANCE`) of the threshold is settled by
+    :func:`spectral_gap` itself.  The decision therefore equals the
+    eigenvalue comparison unless rounding moves either method by more than
+    ``ε``, orders of magnitude above their error at the sizes used here.
+    """
+    if threshold <= 0:
+        return True  # spectral_gap is clipped at 0
+    snapshot = as_snapshot(graph)
+    if snapshot.n < 2 or snapshot.edge_count == 0:
+        return False
+    laplacian = normalized_laplacian(snapshot)
+    root_degrees = np.sqrt(snapshot.degrees.astype(np.float64))
+    v = root_degrees / np.linalg.norm(root_degrees)
+    base = laplacian + (threshold + 1.0) * np.outer(v, v)
+    diagonal = np.arange(snapshot.n)
+
+    def positive_definite_at(theta: float) -> bool:
+        shifted = base.copy()
+        shifted[diagonal, diagonal] -= theta
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    if positive_definite_at(threshold + GAP_TEST_TOLERANCE):
+        return True
+    if not positive_definite_at(threshold - GAP_TEST_TOLERANCE):
+        return False
+    return spectral_gap(snapshot) >= threshold
+
+
 def _pairing_edges(degree: int, n: int, seed: int) -> np.ndarray:
     """Edges of ``networkx.random_regular_graph(degree, n, seed)`` in its add order.
 
@@ -423,8 +474,9 @@ def random_regular_expander(
     Section 4 of the paper only requires the two expanders glued to the
     cluster chain to have ``Φ = Θ(1)`` and constant degree.  Random regular
     graphs have this property with high probability; we verify the normalised
-    Laplacian gap and regenerate when a sample fails.  Each sample is the
-    graph ``networkx.random_regular_graph`` draws from the same seed.
+    Laplacian gap (by :func:`has_spectral_gap`) and regenerate when a sample
+    fails.  Each sample is the graph ``networkx.random_regular_graph`` draws
+    from the same seed.
 
     Parameters
     ----------
@@ -441,14 +493,15 @@ def random_regular_expander(
     gen = ensure_rng(rng)
     # Very small graphs cannot meet asymptotic gap thresholds; be lenient.
     effective_threshold = gap_threshold if n >= 8 else 0.0
-    last_gap = 0.0
+    last_connected = None
     for _ in range(max_attempts):
         candidate = _random_regular(degree, nodes, gen)
         if not candidate.is_connected():
             continue
-        last_gap = spectral_gap(candidate)
-        if last_gap >= effective_threshold:
+        if has_spectral_gap(candidate, effective_threshold):
             return candidate
+        last_connected = candidate
+    last_gap = 0.0 if last_connected is None else spectral_gap(last_connected)
     raise RuntimeError(
         f"failed to generate a {degree}-regular expander on {n} nodes after "
         f"{max_attempts} attempts (last spectral gap {last_gap:.4f} < "
@@ -588,6 +641,7 @@ __all__ = [
     "cycle_csr",
     "dynamic_star_csr",
     "erdos_renyi_csr",
+    "has_spectral_gap",
     "pair_to_condensed",
     "path_csr",
     "star_csr",

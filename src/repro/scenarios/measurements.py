@@ -129,17 +129,6 @@ def process_for(scenario: Scenario):
     )
 
 
-def _payload(point: ScenarioPoint, trial_set, probe: DynamicNetwork,
-             max_time: Optional[float]) -> Dict[str, Any]:
-    """The historical ``trials`` payload shape, from a typed trial set."""
-    return {
-        "n": probe.n,
-        "value": point.value,
-        "spread_times": [float(t) for t in trial_set.spread_times],
-        "summary": trial_set.summary().as_dict(),
-        "probe": probe_values(point.scenario, probe),
-        "max_time": max_time,
-    }
 
 
 def resolve_max_time(scenario: Scenario, network: DynamicNetwork) -> Optional[float]:
@@ -199,9 +188,12 @@ def _measure_trials(point: ScenarioPoint, observer=None) -> Dict[str, Any]:
     ``bind_point(point).observe(observer)`` would.
     """
     scenario = point.scenario
-    probe = point.build_network()
+    builder = bind_point(point)
+    # The bound network doubles as the probe; read it before any trial runs.
+    probe = builder.spec.network
     max_time = resolve_max_time(scenario, probe)
-    builder = bind_point(point, max_time=max_time)
+    probed = probe_values(scenario, probe)
+    builder = builder.max_time(max_time)
     # Streaming must never perturb what executes: engine="batched" rejects
     # observers outright, and engine="auto" would resolve to a *different*
     # engine when observed (boundary instead of batched) — so those points
@@ -209,7 +201,14 @@ def _measure_trials(point: ScenarioPoint, observer=None) -> Dict[str, Any]:
     if observer is not None and scenario.engine not in ("batched", "auto"):
         builder = builder.observe(observer)
     trial_set = builder.collect()
-    return _payload(point, trial_set, probe, max_time)
+    return {
+        "n": probe.n,
+        "value": point.value,
+        "spread_times": [float(t) for t in trial_set.spread_times],
+        "summary": trial_set.summary().as_dict(),
+        "probe": probed,
+        "max_time": max_time,
+    }
 
 
 @register_measurement("tabs_trials")

@@ -13,8 +13,8 @@ required), so
 * new constructions become available everywhere by registering once.
 
 Builders take the declared parameters as keyword arguments plus an optional
-``rng`` (used only by families with a random component); they return a fresh
-:class:`repro.dynamics.base.DynamicNetwork`.
+``rng`` (passed only to families whose construction is random); they return
+a fresh :class:`repro.dynamics.base.DynamicNetwork`.
 """
 
 from __future__ import annotations
@@ -63,8 +63,11 @@ class NetworkFamily:
         Declared parameters mapped to their defaults; :data:`REQUIRED` marks
         parameters that must be supplied (``n`` for every family).
     uses_rng:
-        Whether the construction has a random component (expander sampling,
-        edge-Markovian dynamics, ...).
+        Whether construction itself draws randomness (expander sampling,
+        G(n, p) edges, ...).  Families whose randomness is all per-run
+        (edge-Markovian chains, adaptive rebuilds, agent walks) draw it from
+        ``reset(rng)`` and declare ``False``, so no construction generator
+        is seeded for them.
     description:
         One-line description shown by ``repro scenarios list``.
     """
@@ -206,32 +209,26 @@ register_network(
 )
 register_network(
     "diligent",
-    lambda n, rho, rng=None: DiligentDynamicNetwork(n, rho, rng=rng),
+    lambda n, rho: DiligentDynamicNetwork(n, rho),
     {"n": REQUIRED, "rho": 0.25},
-    uses_rng=True,
     description="Theorem 1.2 adaptive Θ(ρ)-diligent family G(n, ρ)",
 )
 register_network(
     "absolute-diligent",
-    lambda n, rho, rng=None: AbsolutelyDiligentNetwork(n, rho, rng=rng),
+    lambda n, rho: AbsolutelyDiligentNetwork(n, rho),
     {"n": REQUIRED, "rho": 0.25},
-    uses_rng=True,
     description="Theorem 1.5 absolutely Θ(ρ)-diligent adaptive family",
 )
 register_network(
     "edge-markovian",
-    lambda n, birth, death, rng=None: EdgeMarkovianNetwork(n, birth, death, rng=rng),
+    lambda n, birth, death: EdgeMarkovianNetwork(n, birth, death),
     {"n": REQUIRED, "birth": 0.3, "death": 0.3},
-    uses_rng=True,
     description="edge-Markovian evolving graph (per-edge birth/death chain)",
 )
 register_network(
     "mobile-agents",
-    lambda n, side, radius, rng=None: MobileAgentsNetwork(
-        n, side=side, radius=radius, rng=rng
-    ),
+    lambda n, side, radius: MobileAgentsNetwork(n, side=side, radius=radius),
     {"n": REQUIRED, "side": 10, "radius": 1},
-    uses_rng=True,
     description="random-walk mobile agents on a torus grid with proximity links",
 )
 register_network(

@@ -241,10 +241,8 @@ class Scenario:
             point = matches[0]
         else:
             point = points[index if index is not None else 0]
-        max_time = self.max_time
-        if max_time is None and self.options.get("max_time_policy") is not None:
-            max_time = resolve_max_time(self, point.build_network())
-        return bind_point(point, max_time=max_time)
+        builder = bind_point(point)
+        return builder.max_time(resolve_max_time(self, builder.spec.network))
 
 
 @dataclass(frozen=True)
@@ -269,7 +267,11 @@ class ScenarioPoint:
         return network_seq, run_seq
 
     def build_network(self) -> DynamicNetwork:
-        """Build a fresh network for this point (same seed on every call)."""
+        """Build a fresh network for this point (same seed on every call).
+
+        Each call constructs a new instance; :func:`repro.api.bind_point`
+        calls it once per point and resets that instance between trials.
+        """
         require(self.scenario.network is not None,
                 f"scenario {self.scenario.label!r} declares no network family")
         family = get_network_family(self.scenario.network)

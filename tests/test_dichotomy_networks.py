@@ -6,6 +6,7 @@ import pytest
 
 from repro.dynamics.dichotomy import CliqueBridgeNetwork, DynamicStarNetwork
 from graph_oracles import degree, has_edge
+import process_oracles
 
 
 def center_of(snapshot):
@@ -103,3 +104,28 @@ class TestDynamicStarNetwork:
         for t in range(4):
             snapshot = network.snapshot_for_step(t, informed)
             assert sorted(snapshot.degrees.tolist()) == [1] * 7 + [7]
+
+    @pytest.mark.parametrize("randomize", [True, False])
+    def test_centre_sequence_matches_the_label_scan(self, randomize):
+        # The array-built candidates pick the same centres, and leave the run
+        # generator in the same state, as the old scan over node labels,
+        # including steps after every node is informed.
+        leaves = 12
+        for seed in range(6):
+            network = DynamicStarNetwork(leaves, randomize=randomize)
+            network.reset(seed)
+            oracle_rng = np.random.default_rng(seed)
+            growth = np.random.default_rng(100 + seed)
+            informed = {1}
+            network.snapshot_for_step(0, frozenset(informed))
+            last_center = 0
+            for t in range(1, 12):
+                informed |= {int(u) for u in growth.choice(leaves + 1, size=2)}
+                if t >= 8:
+                    informed = set(range(leaves + 1))
+                network.snapshot_for_step(t, frozenset(informed))
+                last_center = process_oracles.dynamic_star_center(
+                    network.nodes, frozenset(informed), last_center, randomize, oracle_rng
+                )
+                assert network._last_center == last_center, (seed, t)
+            assert network._run_rng.random() == oracle_rng.random()

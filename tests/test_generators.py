@@ -1,10 +1,14 @@
 """Unit tests for the static graph generators."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.graphs.generators import (
+    EXPANDER_GAP_THRESHOLD,
+    _random_regular,
     complete_bipartite_chain,
+    has_spectral_gap,
     near_regular_with_hub,
     random_regular_expander,
     regular_connected_graph,
@@ -96,6 +100,33 @@ class TestExpanders:
         labels = [f"node{i}" for i in range(20)]
         graph = random_regular_expander(4, labels, rng=2)
         assert graph.nodes == tuple(labels)
+
+    def test_gap_test_decides_like_the_eigenvalue(self):
+        # Every (degree, n) the small verify run asks the expander sampler
+        # for, several candidate draws per seed, connected or not.
+        sizes = [(3, 32), (3, 64)] + [(4, n) for n in range(13, 119)]
+        decisions = set()
+        for degree, n in sizes:
+            for seed in range(2):
+                gen = np.random.default_rng([seed, degree, n])
+                for _ in range(3):
+                    candidate = _random_regular(degree, range(n), gen)
+                    expected = spectral_gap(candidate) >= EXPANDER_GAP_THRESHOLD
+                    assert has_spectral_gap(candidate, EXPANDER_GAP_THRESHOLD) == expected
+                    decisions.add(expected)
+        assert decisions == {True, False}
+
+    def test_gap_test_at_the_threshold(self):
+        # A threshold equal to the gap sits inside the Cholesky band, so the
+        # eigenvalue comparison decides; one ulp above it must reject.
+        for seed in range(5):
+            graph = random_regular_expander(3, range(40), rng=seed, gap_threshold=0.0)
+            gap = spectral_gap(graph)
+            assert has_spectral_gap(graph, gap)
+            assert not has_spectral_gap(graph, float(np.nextafter(gap, np.inf)))
+            assert has_spectral_gap(graph, gap - 1e-6)
+            assert not has_spectral_gap(graph, gap + 1e-6)
+        assert has_spectral_gap(graph, 0.0)
 
     def test_expander_rejects_odd_degree_times_n(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """Unit tests for contact-rate variants and the forward 2-push process."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
+import process_oracles
 from repro.core.variants import (
     Variant,
     forward_two_push_chain,
@@ -84,6 +87,37 @@ class TestForwardTwoPush:
         empirical = total / trials
         bound = forward_two_push_tail_bound(k, delta)
         assert empirical <= bound * 1.3 + 0.05
+
+    def test_counts_equal_the_choice_loop_oracle(self):
+        # The scalar cluster pick makes the same generator draws as the old
+        # loop's per-event ``gen.choice(k, p=...)``, so counts match exactly,
+        # including on chains with uneven clusters.
+        grid = itertools.product(
+            (1, 2, 4, 7, 9),          # k
+            (1, 3, 12),               # delta
+            (0.0, 0.4, 1.0, 3.0),     # duration
+            (None, 1, 2),             # initially_informed
+        )
+        for k, delta, duration, start in grid:
+            for seed in range(4):
+                sizes = [delta] * (k + 1)
+                expected = process_oracles.forward_two_push_chain(
+                    sizes, duration=duration, rng=seed, initially_informed=start
+                )
+                assert forward_two_push_chain(
+                    sizes, duration=duration, rng=seed, initially_informed=start
+                ) == expected, (k, delta, duration, start, seed)
+        for seed in range(40):
+            sizes = [int(s) for s in np.random.default_rng(seed).integers(1, 9, size=6)]
+            assert forward_two_push_chain(sizes, duration=2.5, rng=seed) == (
+                process_oracles.forward_two_push_chain(sizes, duration=2.5, rng=seed)
+            )
+
+    def test_generator_left_in_the_oracle_state(self):
+        gen_new, gen_old = np.random.default_rng(11), np.random.default_rng(11)
+        forward_two_push_chain([12] * 6, duration=1.0, rng=gen_new)
+        process_oracles.forward_two_push_chain([12] * 6, duration=1.0, rng=gen_old)
+        assert gen_new.random() == gen_old.random()
 
     def test_tail_bound_formula(self):
         assert forward_two_push_tail_bound(1, 10) == pytest.approx(20.0)
