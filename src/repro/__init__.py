@@ -36,58 +36,37 @@ The engine classes remain available for direct use::
     network = static_clique_network(50)
     result = AsynchronousRumorSpreading().run(network, rng=0)
     print(result.summary())
+
+Two layers: the *declarative* one (scenario specs and cache keys, registry
+names and schemas, measurement versions, checks, sinks, E1–E9, reporting,
+the CLI) describes and judges work; the *compute* one (``core``,
+``dynamics``, ``graphs``, measurements, the api builder and executor, the
+supervised pool, the service, the fleet) does it.  No declarative module
+imports a compute module at module level, only inside the function that
+computes, so a cache-warm ``repro verify`` loads no engine.  Package names
+resolve on first use.
 """
 
-from repro.core.asynchronous import AsynchronousRumorSpreading
-from repro.core.synchronous import SynchronousRumorSpreading, SyncVariant
-from repro.core.variants import Variant
-from repro.core.faults import FaultModel
-from repro.core.state import SpreadResult
-from repro.dynamics.base import DynamicNetwork, SnapshotRecorder
-from repro.dynamics.sequences import (
-    CallableDynamicNetwork,
-    ExplicitSequenceNetwork,
-    PeriodicSequenceNetwork,
-    StaticDynamicNetwork,
-)
-from repro.dynamics.diligent import DiligentDynamicNetwork
-from repro.dynamics.absolute_diligent import AbsolutelyDiligentNetwork
-from repro.dynamics.dichotomy import CliqueBridgeNetwork, DynamicStarNetwork
-from repro.dynamics.edge_markovian import EdgeMarkovianNetwork
-from repro.dynamics.mobile_agents import MobileAgentsNetwork
-from repro.analysis.trials import TrialSummary, run_trials
-from repro.analysis.sweep import SweepResult, sweep
-from repro.scenarios import ExperimentPipeline, Scenario, build_network
-from repro import api
+from repro._lazy import lazy_exports
+
+#: Exported name → the module or package defining it (``__all__`` is its keys).
+_EXPORTS = {
+    **dict.fromkeys(("AsynchronousRumorSpreading", "SynchronousRumorSpreading"), "repro.core"),
+    "SyncVariant": "repro.core.synchronous",
+    **dict.fromkeys(("Variant", "FaultModel", "SpreadResult"), "repro.core"),
+    **dict.fromkeys((
+        "DynamicNetwork", "SnapshotRecorder", "CallableDynamicNetwork", "ExplicitSequenceNetwork",
+        "PeriodicSequenceNetwork", "StaticDynamicNetwork", "DiligentDynamicNetwork",
+        "AbsolutelyDiligentNetwork", "CliqueBridgeNetwork", "DynamicStarNetwork",
+        "EdgeMarkovianNetwork", "MobileAgentsNetwork",
+    ), "repro.dynamics"),
+    **dict.fromkeys(("TrialSummary", "run_trials", "SweepResult", "sweep"), "repro.analysis"),
+    **dict.fromkeys(("ExperimentPipeline", "Scenario"), "repro.scenarios"),
+    "api": "repro.api",
+    "build_network": "repro.scenarios",
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "AsynchronousRumorSpreading",
-    "SynchronousRumorSpreading",
-    "SyncVariant",
-    "Variant",
-    "FaultModel",
-    "SpreadResult",
-    "DynamicNetwork",
-    "SnapshotRecorder",
-    "CallableDynamicNetwork",
-    "ExplicitSequenceNetwork",
-    "PeriodicSequenceNetwork",
-    "StaticDynamicNetwork",
-    "DiligentDynamicNetwork",
-    "AbsolutelyDiligentNetwork",
-    "CliqueBridgeNetwork",
-    "DynamicStarNetwork",
-    "EdgeMarkovianNetwork",
-    "MobileAgentsNetwork",
-    "TrialSummary",
-    "run_trials",
-    "SweepResult",
-    "sweep",
-    "ExperimentPipeline",
-    "Scenario",
-    "api",
-    "build_network",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

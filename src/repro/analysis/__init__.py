@@ -10,26 +10,16 @@
   exponents (Θ(n), Θ(log n), Θ(n²), ...).
 """
 
-from repro.analysis.trials import TrialSummary, run_trials
-from repro.analysis.sweep import SweepResult, sweep
-from repro.analysis.tables import format_table, to_csv
-from repro.analysis.regression import loglog_slope, semilog_slope
-from repro.analysis.distribution import (
-    EmpiricalDistribution,
-    mean_difference_z_score,
-    theorem_1_7_iii_tail,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TrialSummary",
-    "run_trials",
-    "SweepResult",
-    "sweep",
-    "format_table",
-    "to_csv",
-    "loglog_slope",
-    "semilog_slope",
-    "EmpiricalDistribution",
-    "mean_difference_z_score",
-    "theorem_1_7_iii_tail",
-]
+# Resolved on first use: the checks read only the fits and the tables.
+_EXPORTS = {
+    **dict.fromkeys(("TrialSummary", "run_trials"), "repro.analysis.trials"),
+    **dict.fromkeys(("SweepResult", "sweep"), "repro.analysis.sweep"),
+    **dict.fromkeys(("format_table", "to_csv"), "repro.analysis.tables"),
+    **dict.fromkeys(("loglog_slope", "semilog_slope"), "repro.analysis.regression"),
+    **dict.fromkeys(("EmpiricalDistribution", "mean_difference_z_score", "theorem_1_7_iii_tail"),
+                    "repro.analysis.distribution"),
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

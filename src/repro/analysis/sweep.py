@@ -16,13 +16,15 @@ back to a :class:`SweepResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.analysis.trials import DEFAULT_WHP_QUANTILE, TrialSummary
-from repro.core.state import SpreadResult
-from repro.dynamics.base import DynamicNetwork
 from repro.utils.rng import RngLike
 from repro.utils.validation import require
+
+if TYPE_CHECKING:
+    from repro.core.state import SpreadResult
+    from repro.dynamics.base import DynamicNetwork
 
 
 @dataclass

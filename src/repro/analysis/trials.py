@@ -24,12 +24,14 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional
 
-from repro.core.state import SpreadResult
-from repro.dynamics.base import DynamicNetwork
 from repro.utils.rng import RngLike
 from repro.utils.validation import require, require_probability
+
+if TYPE_CHECKING:
+    from repro.core.state import SpreadResult
+    from repro.dynamics.base import DynamicNetwork
 
 #: Default quantile used as the finite-n stand-in for the w.h.p. spread time.
 DEFAULT_WHP_QUANTILE = 0.9

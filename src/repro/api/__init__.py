@@ -28,42 +28,30 @@ The legacy entry points (``AsynchronousRumorSpreading(...).run`` for direct
 engine access, and the deprecated ``run_trials`` / ``sweep`` helpers) remain
 available, but new code — and every internal consumer: the CLI, the
 experiments E1–E9, the scenario measurements — speaks this API.
+
+Every name resolves on first use (PEP 562), so importing one submodule —
+:mod:`repro.api.sinks` on the cache-warm verify path — loads no engine.
 """
 
-from repro.api.builder import (
-    ENGINES,
-    NetworkLike,
-    RunBuilder,
-    RunSpec,
-    bind_point,
-    run,
-    sweep_scenario,
-)
-from repro.api.client import (
-    DEFAULT_STREAM_TIMEOUT,
-    DEFAULT_TIMEOUT,
-    ServiceClient,
-    ServiceError,
-)
-from repro.api.observers import (
-    CIWidthRule,
-    EventLog,
-    ObserverChain,
-    RunObserver,
-    StructuredObserver,
-    event_to_dict,
-)
-from repro.api.results import RunResult, SweepFrame, TrialSet
-from repro.api.sinks import (
-    LocalDirSink,
-    MemorySink,
-    NullSink,
-    ResultSink,
-    payload_checksum,
-    sink_from_url,
-)
-from repro.checks import Check, CheckReport, CheckResult, evaluate_checks
-from repro.execution import ChaosMonkey, ExecutionReport, RetryPolicy
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    **dict.fromkeys(
+        ("ENGINES", "NetworkLike", "RunBuilder", "RunSpec", "bind_point", "run",
+         "sweep_scenario"), "repro.api.builder"),
+    **dict.fromkeys(
+        ("DEFAULT_STREAM_TIMEOUT", "DEFAULT_TIMEOUT", "ServiceClient", "ServiceError"),
+        "repro.api.client"),
+    **dict.fromkeys(
+        ("CIWidthRule", "EventLog", "ObserverChain", "RunObserver", "StructuredObserver",
+         "event_to_dict"), "repro.api.observers"),
+    **dict.fromkeys(("RunResult", "SweepFrame", "TrialSet"), "repro.api.results"),
+    **dict.fromkeys(
+        ("LocalDirSink", "MemorySink", "NullSink", "ResultSink", "payload_checksum",
+         "sink_from_url"), "repro.api.sinks"),
+    **dict.fromkeys(("Check", "CheckReport", "CheckResult", "evaluate_checks"), "repro.checks"),
+    **dict.fromkeys(("ChaosMonkey", "ExecutionReport", "RetryPolicy"), "repro.execution"),
+})
 
 __all__ = [
     "CIWidthRule",

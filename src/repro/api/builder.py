@@ -620,6 +620,24 @@ def run(
     )
 
 
+def resolve_max_time(scenario: Scenario, network: DynamicNetwork) -> Optional[float]:
+    """Resolve the per-run horizon: explicit ``max_time`` or a probe policy.
+
+    A ``max_time_policy`` option is a plain dict
+    ``{"attr": name, "kwargs": {...}, "scale": a, "offset": b}`` evaluated as
+    ``a * network.attr(**kwargs) + b`` on a freshly built network — this is
+    how e.g. E2 caps runs at a multiple of the construction's own predicted
+    upper bound while staying JSON-serializable.
+    """
+    if scenario.max_time is not None:
+        return float(scenario.max_time)
+    policy = scenario.options.get("max_time_policy")
+    if policy is None:
+        return None
+    value = getattr(network, policy["attr"])(**policy.get("kwargs", {}))
+    return float(policy.get("scale", 1.0)) * float(value) + float(policy.get("offset", 0.0))
+
+
 def bind_point(point: ScenarioPoint, max_time: Optional[float] = None) -> RunBuilder:
     """Bind one scenario point to a :class:`RunBuilder` (seed policy included).
 
@@ -631,8 +649,10 @@ def bind_point(point: ScenarioPoint, max_time: Optional[float] = None) -> RunBui
     starts with ``network.reset(rng)`` and a reset network yields exactly the
     snapshots of a freshly built one.  Callers that need a probe network (a
     ``max_time_policy``, ``probe`` columns) read it from the spec instead of
-    building another.  ``max_time`` overrides the horizon; otherwise the
-    scenario's explicit ``max_time`` applies.
+    building another.  ``max_time`` overrides the horizon; otherwise
+    :func:`resolve_max_time` gives it (the scenario's explicit ``max_time``
+    or its ``max_time_policy`` evaluated on the bound network), as the
+    pipeline's measurements run it.
     """
     scenario = point.scenario
     require(
@@ -642,15 +662,16 @@ def bind_point(point: ScenarioPoint, max_time: Optional[float] = None) -> RunBui
     )
     _, run_seq = point.seed_sequences()
     options = scenario.options
+    network = point.build_network()
     spec = RunSpec(
-        network=point.build_network(),
+        network=network,
         algorithm=scenario.algorithm,
         variant=scenario.variant,
         engine=scenario.engine,
         faults=scenario.fault_model() if scenario.faults else None,
         trials=scenario.trials,
         seed=run_seq,
-        max_time=max_time if max_time is not None else scenario.max_time,
+        max_time=max_time if max_time is not None else resolve_max_time(scenario, network),
         whp_quantile=float(options.get("whp_quantile", DEFAULT_WHP_QUANTILE)),
     )
     builder = RunBuilder(spec)
@@ -673,14 +694,10 @@ def sweep_scenario(scenario: Scenario) -> SweepFrame:
     probe-evaluated ``max_time_policy`` option), so the frame's statistics
     match what the experiment pipeline computes for the same scenario.
     """
-    from repro.scenarios.measurements import resolve_max_time
-
     points = []
     values = []
     for point in scenario.points():
-        builder = bind_point(point)
-        builder = builder.max_time(resolve_max_time(scenario, builder.spec.network))
-        points.append(builder.collect())
+        points.append(bind_point(point).collect())
         values.append(point.value)
     return SweepFrame(
         parameter_name=scenario.sweep_name,
@@ -689,4 +706,7 @@ def sweep_scenario(scenario: Scenario) -> SweepFrame:
     )
 
 
-__all__ = ["NetworkLike", "RunBuilder", "RunSpec", "bind_point", "run", "sweep_scenario"]
+__all__ = [
+    "NetworkLike", "RunBuilder", "RunSpec", "bind_point", "resolve_max_time", "run",
+    "sweep_scenario",
+]

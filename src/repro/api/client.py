@@ -31,8 +31,6 @@ the form non-Python consumers see.
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Iterator, List, Optional
 
 #: Socket timeout (seconds) for one request/read when none is given.
@@ -87,6 +85,11 @@ class ServiceClient:
         timeout: Optional[float] = None,
     ):
         """One request; returns the open response (caller reads/closes)."""
+        # Imported here: the CLI reads this module's constants on every
+        # command, and only service commands send requests.
+        import urllib.error
+        import urllib.request
+
         data = None
         headers = {}
         if document is not None:

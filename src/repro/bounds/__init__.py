@@ -12,34 +12,18 @@
   Section 1.2 comparison experiment.
 """
 
-from repro.bounds.poisson import (
-    NonHomogeneousPoissonProcess,
-    exponential_race_winner,
-    poisson_lower_tail_bound,
-)
-from repro.bounds.theorems import (
-    C_CONSTANT_FACTOR,
-    SPREAD_CONSTANT_C0,
-    absolute_diligence_bound,
-    combined_bound,
-    conductance_diligence_bound,
-    static_conductance_bound,
-    theorem_1_1_threshold,
-    theorem_1_3_threshold,
-)
-from repro.bounds.giakkoupis import giakkoupis_bound
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NonHomogeneousPoissonProcess",
-    "exponential_race_winner",
-    "poisson_lower_tail_bound",
-    "C_CONSTANT_FACTOR",
-    "SPREAD_CONSTANT_C0",
-    "absolute_diligence_bound",
-    "combined_bound",
-    "conductance_diligence_bound",
-    "static_conductance_bound",
-    "theorem_1_1_threshold",
-    "theorem_1_3_threshold",
-    "giakkoupis_bound",
-]
+# Resolved on first use: the experiments read only ``theorems``.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("NonHomogeneousPoissonProcess", "exponential_race_winner", "poisson_lower_tail_bound"),
+        "repro.bounds.poisson"),
+    **dict.fromkeys(
+        ("C_CONSTANT_FACTOR", "SPREAD_CONSTANT_C0", "absolute_diligence_bound", "combined_bound",
+         "conductance_diligence_bound", "static_conductance_bound", "theorem_1_1_threshold",
+         "theorem_1_3_threshold"), "repro.bounds.theorems"),
+    "giakkoupis_bound": "repro.bounds.giakkoupis",
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -20,7 +20,6 @@ import math
 from typing import Dict, Iterable, Mapping, Sequence
 
 from repro.bounds.theorems import BoundEvaluation, _first_threshold_step
-from repro.graphs.metrics import degree_variation_ratio
 from repro.utils.validation import require, require_node_count, require_positive
 
 
@@ -50,6 +49,8 @@ def giakkoupis_bound(
         The hidden constant of the Ω(·); 1 by default so comparisons against
         Theorem 1.1 are at matching constants.
     """
+    from repro.graphs.metrics import degree_variation_ratio
+
     m_ratio = degree_variation_ratio(degree_history)
     threshold = giakkoupis_threshold(n, m_ratio, constant)
     per_step = [float(phi) for phi in conductances]

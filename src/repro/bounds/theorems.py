@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
-from repro.dynamics.base import SnapshotRecorder
 from repro.utils.validation import require, require_node_count, require_positive
+
+if TYPE_CHECKING:
+    from repro.dynamics.base import SnapshotRecorder
 
 #: ``c₀ = 1/2 − 1/e`` from Theorem 1.1 / Lemma 3.1.
 SPREAD_CONSTANT_C0 = 0.5 - 1.0 / math.e

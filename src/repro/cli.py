@@ -50,11 +50,10 @@ import sys
 import threading
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro import api
 from repro.analysis.tables import format_table
 from repro.api.client import MAX_LEASE_WAIT_SECONDS
-from repro.core.variants import Variant
-from repro.execution import chaos_from_env
+from repro.api.sinks import MemorySink, sink_from_url
+from repro.execution.chaos import chaos_from_env
 from repro.scenarios import (
     ExperimentPipeline,
     Scenario,
@@ -63,6 +62,7 @@ from repro.scenarios import (
     get_network_family,
     network_families,
 )
+from repro.scenarios.scenario import ENGINES, VARIANTS
 from repro.utils.jsonio import finite_json
 
 #: Network families offered by ``simulate`` (the whole registry).
@@ -168,11 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="asynchronous (continuous time) or synchronous (rounds)",
     )
     simulate_parser.add_argument(
-        "--variant", choices=[variant.value for variant in Variant], default="push-pull",
+        "--variant", choices=VARIANTS, default="push-pull",
         help="contact variant for the asynchronous algorithm",
     )
     simulate_parser.add_argument(
-        "--engine", choices=api.ENGINES, default="boundary",
+        "--engine", choices=ENGINES, default="boundary",
         help="asynchronous engine: exact cut-race (boundary), clock-tick "
         "reference (naive), trial-batched clique closed form or first-passage "
         "percolation (batched; static networks only), or batched whenever the "
@@ -376,7 +376,7 @@ def _make_pipeline(
     broken experiment cannot leave half-interpreted points behind.
     """
     url = _sink_url_from_args(args)
-    sink = api.sink_from_url(url) if url is not None else None
+    sink = sink_from_url(url) if url is not None else None
     keep_going, max_failures = _failure_flags(args) if point_keep_going else (False, None)
     return ExperimentPipeline(
         jobs=args.jobs, sink=sink,
@@ -516,8 +516,10 @@ def _command_simulate(args, out) -> int:
 
 
 def _simulate_builder(args):
+    from repro.api.builder import run
+
     return (
-        api.run(
+        run(
             network=args.network,
             params=_simulate_params(args),
             algorithm=args.algorithm,
@@ -816,7 +818,7 @@ def _command_serve(args, out) -> int:
 
     url = _sink_url_from_args(args)
     try:
-        sink = api.sink_from_url(url) if url is not None else api.MemorySink()
+        sink = sink_from_url(url) if url is not None else MemorySink()
         service = ExperimentService(ServiceConfig(
             workers=args.workers,
             jobs=args.jobs,
@@ -898,7 +900,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         try:
             # Validate the URL up front (constructing a sink does no I/O) so
             # a bad scheme is a clean CLI error, not a pipeline traceback.
-            api.sink_from_url(args.sink)
+            sink_from_url(args.sink)
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2

@@ -14,16 +14,16 @@
 * :mod:`repro.core.faults` — message-drop and node-crash fault injection.
 """
 
-from repro.core.state import SpreadResult
-from repro.core.variants import Variant
-from repro.core.faults import FaultModel
-from repro.core.asynchronous import AsynchronousRumorSpreading
-from repro.core.synchronous import SynchronousRumorSpreading
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SpreadResult",
-    "Variant",
-    "FaultModel",
-    "AsynchronousRumorSpreading",
-    "SynchronousRumorSpreading",
-]
+# Resolved on first use, so importing the light ``repro.core.faults`` (a
+# scenario validating its fault data) loads no engine.
+_EXPORTS = {
+    "SpreadResult": "repro.core.state",
+    "Variant": "repro.core.variants",
+    "FaultModel": "repro.core.faults",
+    "AsynchronousRumorSpreading": "repro.core.asynchronous",
+    "SynchronousRumorSpreading": "repro.core.synchronous",
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

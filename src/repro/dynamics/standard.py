@@ -22,6 +22,8 @@ from repro.dynamics.sequences import PeriodicSequenceNetwork, StaticDynamicNetwo
 from repro.graphs.generators import (
     clique_csr,
     cycle_csr,
+    erdos_renyi_csr,
+    path_csr,
     random_regular_expander,
     star_csr,
 )
@@ -100,6 +102,21 @@ def static_cycle_network(n: int) -> StaticDynamicNetwork:
     return StaticDynamicNetwork(cycle_csr(range(n)), metrics=cycle_metrics(n))
 
 
+def static_path_network(n: int) -> StaticDynamicNetwork:
+    """A static path on ``n`` nodes."""
+    return StaticDynamicNetwork(path_csr(range(n)))
+
+
+def static_expander_network(n: int, degree: int, rng: RngLike = None) -> StaticDynamicNetwork:
+    """A static random ``degree``-regular expander on ``n`` nodes."""
+    return StaticDynamicNetwork(random_regular_expander(degree, range(n), rng=rng))
+
+
+def static_erdos_renyi_network(n: int, p: float, rng: RngLike = None) -> StaticDynamicNetwork:
+    """A static G(n, p), sampled directly into CSR form."""
+    return StaticDynamicNetwork(erdos_renyi_csr(n, p, rng=rng))
+
+
 def alternating_regular_complete_network(
     n: int, degree: int = 3, rng: RngLike = None
 ) -> PeriodicSequenceNetwork:
@@ -129,5 +146,8 @@ __all__ = [
     "star_metrics",
     "static_clique_network",
     "static_cycle_network",
+    "static_erdos_renyi_network",
+    "static_expander_network",
+    "static_path_network",
     "static_star_network",
 ]

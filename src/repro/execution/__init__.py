@@ -24,20 +24,15 @@ from repro.execution.policy import (
     deterministic_uniform,
 )
 from repro.execution.report import ExecutionReport
-from repro.execution.supervisor import (
-    FAILURE_STATUSES,
-    STATUS_ABORTED,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    ItemFailedError,
-    ItemOutcome,
-    ItemTimeoutError,
-    MaxFailuresExceeded,
-    fork_available,
-    raise_first_failure,
-    supervised_map,
-)
+from repro._lazy import lazy_exports
+
+# The supervised pool is compute: its names import it on first use, so the
+# pipeline's cache-warm path never loads multiprocessing's pool machinery.
+__getattr__ = lazy_exports(__name__, dict.fromkeys((
+    "FAILURE_STATUSES", "STATUS_ABORTED", "STATUS_FAILED", "STATUS_OK", "STATUS_TIMEOUT",
+    "ItemFailedError", "ItemOutcome", "ItemTimeoutError", "MaxFailuresExceeded",
+    "fork_available", "raise_first_failure", "supervised_map",
+), "repro.execution.supervisor"))
 
 __all__ = [
     "CHAOS_ENV",

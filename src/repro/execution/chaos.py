@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -51,6 +50,8 @@ class ChaosKill(ChaosError):
 
 def _in_worker_process() -> bool:
     """True when running inside a spawned/forked child process."""
+    import multiprocessing  # only a kill decision asks; cache-warm runs never do
+
     return multiprocessing.parent_process() is not None
 
 

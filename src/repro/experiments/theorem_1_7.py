@@ -22,9 +22,7 @@ import math
 from typing import Dict, List, Optional
 
 from repro.analysis.regression import loglog_slope, semilog_slope
-from repro.api import run as api_run
 from repro.checks import Check, evaluate_checks
-from repro.dynamics.dichotomy import DynamicStarNetwork
 from repro.experiments.result import ExperimentResult
 from repro.scenarios import ExperimentPipeline, Scenario, scenario_seed
 from repro.utils.rng import RngLike
@@ -51,6 +49,9 @@ def _tail_rows(n: int, ks: List[int], spread_times: List[float]) -> List[Dict]:
 
 def part_iii_rows(n: int, ks: List[int], trials: int, rng) -> List[Dict]:
     """Standalone part (iii) measurement (kept for the benchmark suite)."""
+    from repro.api.builder import run as api_run
+    from repro.dynamics.dichotomy import DynamicStarNetwork
+
     trial_set = (
         api_run(network=lambda: DynamicStarNetwork(n)).trials(trials).seed(rng).collect()
     )

@@ -15,15 +15,13 @@ This subsystem makes workloads first-class data:
   caching.
 
 Describe *what* to run; the pipeline decides *how* to run it fast.
+
+The spec, its cache key, the registry's schemas and the pipeline's cache
+path import no engine.  Measurements, network builders and the supervised
+pool are compute: the pipeline imports them on its first cache miss, in the
+parent before any worker forks, and a family imports its builder when built.
 """
 
-from repro.scenarios.measurements import (
-    get_measurement,
-    measure_point,
-    measurement_kinds,
-    measurement_version,
-    register_measurement,
-)
 from repro.scenarios.networks import (
     NetworkFamily,
     build_network,
@@ -37,7 +35,14 @@ from repro.scenarios.pipeline import (
     default_cache_dir,
     failed_points,
 )
-from repro.scenarios.scenario import Scenario, ScenarioPoint, scenario_seed
+from repro.scenarios.scenario import Scenario, ScenarioPoint, measurement_version, scenario_seed
+from repro._lazy import lazy_exports
+
+# The measurement functions are compute; they import on first use.
+__getattr__ = lazy_exports(__name__, dict.fromkeys(
+    ("get_measurement", "measure_point", "measurement_kinds", "register_measurement"),
+    "repro.scenarios.measurements",
+))
 
 __all__ = [
     "ExperimentPipeline",

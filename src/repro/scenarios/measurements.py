@@ -4,7 +4,9 @@ Scenarios are pure data; each carries a ``kind`` naming one of the functions
 registered here.  A measurement takes one :class:`ScenarioPoint` and returns a
 JSON-serializable payload dict — the unit the pipeline parallelises and
 caches.  Every kind carries a version; bumping it invalidates cached
-artifacts computed under older semantics.
+artifacts computed under older semantics.  The versions live next to the
+scenario spec (:data:`repro.scenarios.scenario.MEASUREMENT_VERSIONS`), so a
+cache key never imports this module: it is compute, loaded on a cache miss.
 
 Built-in kinds:
 
@@ -35,7 +37,7 @@ Built-in kinds:
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -50,22 +52,28 @@ from repro.core.variants import (
     forward_two_push_tail_bound,
 )
 from repro.dynamics.base import DynamicNetwork, SnapshotRecorder
-from repro.scenarios.scenario import Scenario, ScenarioPoint
-from repro.api.builder import bind_point, resolve_process
+from repro.scenarios.scenario import MEASUREMENT_VERSIONS, Scenario, ScenarioPoint, measurement_version
+from repro.api.builder import bind_point, resolve_max_time, resolve_process
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import require
 
 MeasurementFn = Callable[[ScenarioPoint], Dict[str, Any]]
 
-_MEASUREMENTS: Dict[str, Tuple[MeasurementFn, int]] = {}
+_MEASUREMENTS: Dict[str, MeasurementFn] = {}
 
 
 def register_measurement(name: str, version: int = 1):
-    """Decorator registering a measurement kind under ``name``."""
+    """Decorator registering a measurement kind under ``name``.
+
+    ``version`` stamps the kind's cache keys; a built-in kind keeps the entry
+    :data:`repro.scenarios.scenario.MEASUREMENT_VERSIONS` lists for it, so
+    keys are computed without importing this module.
+    """
 
     def decorate(fn: MeasurementFn) -> MeasurementFn:
         require(name not in _MEASUREMENTS, f"measurement kind {name!r} is already registered")
-        _MEASUREMENTS[name] = (fn, version)
+        _MEASUREMENTS[name] = fn
+        MEASUREMENT_VERSIONS.setdefault(name, version)
         return fn
 
     return decorate
@@ -82,16 +90,7 @@ def get_measurement(name: str) -> MeasurementFn:
         name in _MEASUREMENTS,
         f"unknown measurement kind {name!r}; known kinds: {sorted(_MEASUREMENTS)}",
     )
-    return _MEASUREMENTS[name][0]
-
-
-def measurement_version(name: str) -> int:
-    """Version stamp of a measurement kind (part of the cache key)."""
-    require(
-        name in _MEASUREMENTS,
-        f"unknown measurement kind {name!r}; known kinds: {sorted(_MEASUREMENTS)}",
-    )
-    return _MEASUREMENTS[name][1]
+    return _MEASUREMENTS[name]
 
 
 #: Kinds that accept a live :class:`repro.api.RunObserver` (the ones that run
@@ -127,26 +126,6 @@ def process_for(scenario: Scenario):
     return resolve_process(
         scenario.algorithm, scenario.variant, scenario.engine, scenario.fault_model()
     )
-
-
-
-
-def resolve_max_time(scenario: Scenario, network: DynamicNetwork) -> Optional[float]:
-    """Resolve the per-run horizon: explicit ``max_time`` or a probe policy.
-
-    A ``max_time_policy`` option is a plain dict
-    ``{"attr": name, "kwargs": {...}, "scale": a, "offset": b}`` evaluated as
-    ``a * network.attr(**kwargs) + b`` on a freshly built network — this is
-    how e.g. E2 caps runs at a multiple of the construction's own predicted
-    upper bound while staying JSON-serializable.
-    """
-    if scenario.max_time is not None:
-        return float(scenario.max_time)
-    policy = scenario.options.get("max_time_policy")
-    if policy is None:
-        return None
-    value = getattr(network, policy["attr"])(**policy.get("kwargs", {}))
-    return float(policy.get("scale", 1.0)) * float(value) + float(policy.get("offset", 0.0))
 
 
 def probe_values(scenario: Scenario, network: DynamicNetwork) -> Dict[str, float]:
@@ -189,11 +168,10 @@ def _measure_trials(point: ScenarioPoint, observer=None) -> Dict[str, Any]:
     """
     scenario = point.scenario
     builder = bind_point(point)
-    # The bound network doubles as the probe; read it before any trial runs.
+    # The bound network doubles as the probe (bind_point resolved the horizon
+    # on it); read it before any trial runs.
     probe = builder.spec.network
-    max_time = resolve_max_time(scenario, probe)
     probed = probe_values(scenario, probe)
-    builder = builder.max_time(max_time)
     # Streaming must never perturb what executes: engine="batched" rejects
     # observers outright, and engine="auto" would resolve to a *different*
     # engine when observed (boundary instead of batched) — so those points
@@ -207,7 +185,7 @@ def _measure_trials(point: ScenarioPoint, observer=None) -> Dict[str, Any]:
         "spread_times": [float(t) for t in trial_set.spread_times],
         "summary": trial_set.summary().as_dict(),
         "probe": probed,
-        "max_time": max_time,
+        "max_time": builder.spec.max_time,
     }
 
 

@@ -14,34 +14,23 @@ required), so
 
 Builders take the declared parameters as keyword arguments plus an optional
 ``rng`` (passed only to families whose construction is random); they return
-a fresh :class:`repro.dynamics.base.DynamicNetwork`.
+a fresh :class:`repro.dynamics.base.DynamicNetwork`.  The built-in families
+name their builders as ``"module:function"`` strings, imported on the first
+:meth:`NetworkFamily.build`: the registry's names, parameter schemas and
+descriptions are declarative and load no engine or graph module.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Tuple, Union
 
-from repro.dynamics.absolute_diligent import AbsolutelyDiligentNetwork
-from repro.dynamics.base import DynamicNetwork
-from repro.dynamics.dichotomy import CliqueBridgeNetwork, DynamicStarNetwork
-from repro.dynamics.diligent import DiligentDynamicNetwork
-from repro.dynamics.edge_markovian import EdgeMarkovianNetwork
-from repro.dynamics.mobile_agents import MobileAgentsNetwork
-from repro.dynamics.sequences import StaticDynamicNetwork
-from repro.dynamics.standard import (
-    alternating_regular_complete_network,
-    static_clique_network,
-    static_cycle_network,
-    static_star_network,
-)
-from repro.graphs.generators import (
-    erdos_renyi_csr,
-    path_csr,
-    random_regular_expander,
-)
 from repro.utils.rng import RngLike
 from repro.utils.validation import require
+
+if TYPE_CHECKING:
+    from repro.dynamics.base import DynamicNetwork
 
 #: Sentinel marking a parameter with no default (must be supplied).
 REQUIRED = object()
@@ -58,7 +47,9 @@ class NetworkFamily:
         ``network`` field).
     builder:
         ``(rng=..., **params) -> DynamicNetwork`` (``rng`` passed only when
-        ``uses_rng`` is true).
+        ``uses_rng`` is true), or a ``"module:function"`` string naming a
+        callable imported on the first build and given the parameters
+        positionally, in declaration order.
     defaults:
         Declared parameters mapped to their defaults; :data:`REQUIRED` marks
         parameters that must be supplied (``n`` for every family).
@@ -73,7 +64,7 @@ class NetworkFamily:
     """
 
     name: str
-    builder: Callable[..., DynamicNetwork] = field(repr=False)
+    builder: Union[str, Callable[..., "DynamicNetwork"]] = field(repr=False)
     defaults: Mapping[str, Any]
     uses_rng: bool
     description: str
@@ -99,12 +90,14 @@ class NetworkFamily:
         )
         return merged
 
-    def build(self, rng: RngLike = None, **params) -> DynamicNetwork:
+    def build(self, rng: RngLike = None, **params) -> "DynamicNetwork":
         """Build a fresh network instance from ``params`` (over the defaults)."""
         merged = self.resolve_params(params)
-        if self.uses_rng:
-            return self.builder(rng=rng, **merged)
-        return self.builder(**merged)
+        extra = {"rng": rng} if self.uses_rng else {}
+        if isinstance(self.builder, str):
+            module, _, name = self.builder.partition(":")
+            return getattr(importlib.import_module(module), name)(*merged.values(), **extra)
+        return self.builder(**merged, **extra)
 
 
 _REGISTRY: Dict[str, NetworkFamily] = {}
@@ -112,7 +105,7 @@ _REGISTRY: Dict[str, NetworkFamily] = {}
 
 def register_network(
     name: str,
-    builder: Callable[..., DynamicNetwork],
+    builder: Union[str, Callable[..., "DynamicNetwork"]],
     defaults: Mapping[str, Any],
     uses_rng: bool = False,
     description: str = "",
@@ -144,7 +137,7 @@ def get_network_family(name: str) -> NetworkFamily:
     return _REGISTRY[name]
 
 
-def build_network(name: str, rng: RngLike = None, **params) -> DynamicNetwork:
+def build_network(name: str, rng: RngLike = None, **params) -> "DynamicNetwork":
     """Build a network from its family name and parameters."""
     return get_network_family(name).build(rng=rng, **params)
 
@@ -157,85 +150,81 @@ def build_network(name: str, rng: RngLike = None, **params) -> DynamicNetwork:
 
 register_network(
     "clique",
-    lambda n: static_clique_network(n),
+    "repro.dynamics.standard:static_clique_network",
     {"n": REQUIRED},
     description="static complete graph K_n (analytic metrics attached)",
 )
 register_network(
     "star",
-    lambda n: static_star_network(n),
+    "repro.dynamics.standard:static_star_network",
     {"n": REQUIRED},
     description="static star on n nodes, centre 0 (analytic metrics attached)",
 )
 register_network(
     "cycle",
-    lambda n: static_cycle_network(n),
+    "repro.dynamics.standard:static_cycle_network",
     {"n": REQUIRED},
     description="static cycle C_n (analytic metrics attached)",
 )
 register_network(
     "path",
-    lambda n: StaticDynamicNetwork(path_csr(range(n))),
+    "repro.dynamics.standard:static_path_network",
     {"n": REQUIRED},
     description="static path P_n",
 )
 register_network(
     "expander",
-    lambda n, degree, rng=None: StaticDynamicNetwork(
-        random_regular_expander(degree, range(n), rng=rng)
-    ),
+    "repro.dynamics.standard:static_expander_network",
     {"n": REQUIRED, "degree": 4},
     uses_rng=True,
     description="static random degree-regular expander",
 )
 register_network(
     "erdos-renyi",
-    lambda n, p, rng=None: StaticDynamicNetwork(erdos_renyi_csr(n, p, rng=rng)),
+    "repro.dynamics.standard:static_erdos_renyi_network",
     {"n": REQUIRED, "p": 0.05},
     uses_rng=True,
     description="static G(n, p), sampled directly into CSR form",
 )
 register_network(
     "dynamic-star",
-    lambda n: DynamicStarNetwork(n),
+    "repro.dynamics.dichotomy:DynamicStarNetwork",
     {"n": REQUIRED},
     description="G2 of Figure 1(b): adaptive dynamic star with n leaves",
 )
 register_network(
     "clique-bridge",
-    lambda n: CliqueBridgeNetwork(n),
+    "repro.dynamics.dichotomy:CliqueBridgeNetwork",
     {"n": REQUIRED},
     description="G1 of Figure 1(a): clique with pendant, then bridged cliques",
 )
 register_network(
     "diligent",
-    lambda n, rho: DiligentDynamicNetwork(n, rho),
+    "repro.dynamics.diligent:DiligentDynamicNetwork",
     {"n": REQUIRED, "rho": 0.25},
     description="Theorem 1.2 adaptive Θ(ρ)-diligent family G(n, ρ)",
 )
 register_network(
     "absolute-diligent",
-    lambda n, rho: AbsolutelyDiligentNetwork(n, rho),
+    "repro.dynamics.absolute_diligent:AbsolutelyDiligentNetwork",
     {"n": REQUIRED, "rho": 0.25},
     description="Theorem 1.5 absolutely Θ(ρ)-diligent adaptive family",
 )
 register_network(
     "edge-markovian",
-    lambda n, birth, death: EdgeMarkovianNetwork(n, birth, death),
+    "repro.dynamics.edge_markovian:EdgeMarkovianNetwork",
     {"n": REQUIRED, "birth": 0.3, "death": 0.3},
     description="edge-Markovian evolving graph (per-edge birth/death chain)",
 )
 register_network(
     "mobile-agents",
-    lambda n, side, radius: MobileAgentsNetwork(n, side=side, radius=radius),
+    "repro.dynamics.mobile_agents:MobileAgentsNetwork",
     {"n": REQUIRED, "side": 10, "radius": 1},
     description="random-walk mobile agents on a torus grid with proximity links",
 )
 register_network(
     "alternating-regular-complete",
-    lambda n, degree, rng=None: alternating_regular_complete_network(
-        n, degree=degree, rng=rng
-    ),
+    "repro.dynamics.standard:alternating_regular_complete_network",
     {"n": REQUIRED, "degree": 3},
     uses_rng=True,
     description="Section 1.2 example: d-regular graph alternating with K_n",

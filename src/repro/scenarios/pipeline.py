@@ -35,20 +35,17 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.api.sinks import LocalDirSink, NullSink, ResultSink
 from repro.execution.chaos import ChaosMonkey, chaos_from_env
 from repro.execution.policy import DEFAULT_POLICY, RetryPolicy
 from repro.execution.report import ExecutionReport
-from repro.execution.supervisor import (
-    ItemOutcome,
-    raise_first_failure,
-    supervised_map,
-)
-from repro.scenarios.measurements import measure_point
 from repro.scenarios.scenario import Scenario, ScenarioPoint
 from repro.utils.validation import require
+
+if TYPE_CHECKING:
+    from repro.execution.supervisor import ItemOutcome
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -223,6 +220,8 @@ class ExperimentPipeline:
                 else:
                     errors[position] = outcome.error
             if not self.keep_going:
+                from repro.execution.supervisor import raise_first_failure
+
                 # Surviving points were already cached; re-raise the first
                 # failure's original exception (historical strict contract).
                 raise_first_failure(outcomes)
@@ -246,8 +245,15 @@ class ExperimentPipeline:
 
     def _compute(
         self, points: Sequence[ScenarioPoint], observer=None
-    ) -> List[ItemOutcome]:
-        """Measure ``points`` under supervision (parallel when ``jobs > 1``)."""
+    ) -> List["ItemOutcome"]:
+        """Measure ``points`` under supervision (parallel when ``jobs > 1``).
+
+        Imports the compute layer here, in the parent, so forked workers
+        inherit it instead of each importing it.
+        """
+        from repro.execution.supervisor import supervised_map
+        from repro.scenarios.measurements import measure_point
+
         fn = measure_point if observer is None else partial(measure_point, observer=observer)
         return supervised_map(
             fn,

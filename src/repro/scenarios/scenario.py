@@ -27,23 +27,44 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.checks.check import Check
-from repro.core.faults import FaultModel, fault_model_from_data
-from repro.core.variants import Variant
-from repro.dynamics.base import DynamicNetwork
 from repro.scenarios.networks import get_network_family
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require
 
-#: Accepted ``algorithm`` / ``engine`` values (single source: the public API).
-from repro.api.builder import ALGORITHMS, ENGINES  # noqa: E402 - re-export
+if TYPE_CHECKING:
+    from repro.core.faults import FaultModel
+    from repro.dynamics.base import DynamicNetwork
+
+# Accepted names, copied so validation loads no engine; ``Variant`` and
+# ``repro.api.builder.ALGORITHMS``/``ENGINES`` stay the source (a test checks).
+ALGORITHMS = ("async", "sync")
+ENGINES = ("boundary", "naive", "batched", "auto")
+VARIANTS = ("push-pull", "push", "pull", "2-push")
 
 #: Version stamp mixed into every cache key; bump when point semantics change.
 SCENARIO_FORMAT_VERSION = 1
+
+#: Version of each measurement kind, mixed into its points' cache keys; bump a
+#: kind's entry when its semantics change.  Kinds registered later through
+#: :func:`repro.scenarios.measurements.register_measurement` add their own.
+MEASUREMENT_VERSIONS: Dict[str, int] = dict.fromkeys((
+    "trials", "tabs_trials", "bound_series", "sequence_bound_estimate",
+    "hk_snapshot", "two_push_chain",
+), 1)
+
+
+def measurement_version(name: str) -> int:
+    """Version stamp of a measurement kind (part of the cache key)."""
+    require(
+        name in MEASUREMENT_VERSIONS,
+        f"unknown measurement kind {name!r}; known kinds: {sorted(MEASUREMENT_VERSIONS)}",
+    )
+    return MEASUREMENT_VERSIONS[name]
 
 
 def scenario_seed(rng: RngLike, salt: int) -> int:
@@ -128,7 +149,7 @@ class Scenario:
     sweep_name: str = "n"
     sweep: Tuple[Any, ...] = ()
     algorithm: str = "async"
-    variant: str = Variant.PUSH_PULL.value
+    variant: str = "push-pull"
     engine: str = "boundary"
     faults: Optional[Mapping[str, Any]] = None
     trials: int = 1
@@ -141,10 +162,10 @@ class Scenario:
         require(isinstance(self.label, str) and self.label, "scenario label must be a non-empty string")
         require(self.algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         require(self.engine in ENGINES, f"engine must be one of {ENGINES}, got {self.engine!r}")
-        Variant(self.variant)  # raises ValueError on unknown variants
+        require(self.variant in VARIANTS, f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.algorithm == "sync":
             require(
-                self.variant == Variant.PUSH_PULL.value and self.engine == "boundary",
+                self.variant == "push-pull" and self.engine == "boundary",
                 "variant/engine apply only to the asynchronous algorithm; "
                 "leave them at their defaults for algorithm='sync'",
             )
@@ -202,13 +223,15 @@ class Scenario:
 
     # -- execution support ---------------------------------------------------
 
-    def fault_model(self) -> FaultModel:
+    def fault_model(self) -> "FaultModel":
         """Build the :class:`FaultModel` described by :attr:`faults`.
 
         Delegates to :func:`repro.core.faults.fault_model_from_data`, the
         single plain-data → fault-model coercion path shared with
         :mod:`repro.api`.
         """
+        from repro.core.faults import fault_model_from_data
+
         return fault_model_from_data(self.faults)
 
     def points(self) -> List["ScenarioPoint"]:
@@ -231,7 +254,6 @@ class Scenario:
         point into a :class:`repro.api.SweepFrame`.
         """
         from repro.api.builder import bind_point
-        from repro.scenarios.measurements import resolve_max_time
 
         points = self.points()
         if value is not None:
@@ -241,8 +263,7 @@ class Scenario:
             point = matches[0]
         else:
             point = points[index if index is not None else 0]
-        builder = bind_point(point)
-        return builder.max_time(resolve_max_time(self, builder.spec.network))
+        return bind_point(point)
 
 
 @dataclass(frozen=True)
@@ -266,7 +287,7 @@ class ScenarioPoint:
         network_seq, run_seq = root.spawn(2)
         return network_seq, run_seq
 
-    def build_network(self) -> DynamicNetwork:
+    def build_network(self) -> "DynamicNetwork":
         """Build a fresh network for this point (same seed on every call).
 
         Each call constructs a new instance; :func:`repro.api.bind_point`
@@ -297,8 +318,6 @@ class ScenarioPoint:
 
     def cache_key(self) -> str:
         """Content hash of the point spec (plus the measurement-kind version)."""
-        from repro.scenarios.measurements import measurement_version
-
         spec = self.spec()
         spec["kind_version"] = measurement_version(self.scenario.kind)
         canonical = json.dumps(spec, sort_keys=True, allow_nan=True)
@@ -308,8 +327,11 @@ class ScenarioPoint:
 __all__ = [
     "ALGORITHMS",
     "ENGINES",
+    "MEASUREMENT_VERSIONS",
     "SCENARIO_FORMAT_VERSION",
     "Scenario",
     "ScenarioPoint",
+    "VARIANTS",
+    "measurement_version",
     "scenario_seed",
 ]

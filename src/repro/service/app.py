@@ -46,6 +46,11 @@ from repro.service.metrics import ServiceMetrics, render_prometheus
 from repro.service.runs import RunRecord, RunRegistry
 from repro.utils.validation import require
 
+# A service computes what it is sent.  The pipeline imports its compute layer
+# on the first cache miss; load it here, at start-up, so no submission waits.
+import repro.execution.supervisor  # noqa: F401
+import repro.scenarios.measurements  # noqa: F401
+
 
 class ServiceClosed(RuntimeError):
     """Raised when a run is submitted to a service that is shutting down."""

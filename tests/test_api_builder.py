@@ -238,6 +238,21 @@ class TestScenarioBinding:
             trial_set = scenario.bind(index=index).collect()
             assert payload["spread_times"] == [float(t) for t in trial_set.spread_times]
 
+    def test_bind_point_alone_applies_the_max_time_policy(self):
+        # A horizon well below the spread time, so the policy shows in the
+        # censored spread times as well as in the bound spec.
+        scenario = self._scenario(
+            network="diligent", params={"n": 40}, sweep_name="rho", sweep=(0.25,),
+            options={"max_time_policy": {"attr": "predicted_lower_bound", "scale": 0.05}},
+        )
+        (point,) = scenario.points()
+        (result,) = ExperimentPipeline().run(scenario)
+        builder = api.bind_point(point)
+        assert builder.spec.max_time == result.payload["max_time"] > 0
+        spread_times = [float(t) for t in builder.collect().spread_times]
+        assert spread_times == result.payload["spread_times"]
+        assert result.payload["summary"]["completion_rate"] < 1.0
+
     def test_bind_by_value(self):
         scenario = self._scenario()
         by_value = scenario.bind(value=12).collect()
