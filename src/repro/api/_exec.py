@@ -15,6 +15,9 @@ shims, the scenario measurements and the CLI — funnels through
 * an optional :class:`repro.api.observers.RunObserver` receives engine-level
   hooks (serial execution only — forked children cannot report back) and an
   ``on_trial`` call per finished trial;
+* forked children return full results only when an observer or
+  ``keep_results`` needs them, and otherwise just ``(spread_time, n)``, so
+  no per-trial ``informed_times`` dict is pickled back to the parent;
 * an optional stop rule (e.g. :class:`repro.api.observers.CIWidthRule`) is
   consulted after every completed trial (serial) or batch of ``workers``
   trials (parallel) and ends the run early.
@@ -43,19 +46,22 @@ def _run_batch(
     run_kwargs: Dict,
     policy: Optional[RetryPolicy] = None,
     report: Optional[ExecutionReport] = None,
-) -> Optional[List[SpreadResult]]:
+    slim: bool = False,
+) -> Optional[List]:
     """Fan one batch of trials over a process pool; ``None`` without fork.
 
     The closure (runner, factory, generators) reaches the workers through the
     inherited memory of :func:`repro.utils.parallel.fork_map`, so arbitrary
     lambdas and bound methods work without being picklable.  Trials are pure
     functions of their spawned generator, so an optional supervised
-    ``policy`` can retry a killed or failed trial bit-identically.
+    ``policy`` can retry a killed or failed trial bit-identically.  With
+    ``slim`` each trial comes back as ``(spread_time, n)`` only.
     """
 
-    def one_trial(index: int) -> SpreadResult:
+    def one_trial(index: int):
         network = factory()
-        return runner(network, source=source, rng=generators[index], **run_kwargs)
+        result = runner(network, source=source, rng=generators[index], **run_kwargs)
+        return (result.spread_time, result.n) if slim else result
 
     return fork_map(one_trial, range(len(generators)), workers,
                     policy=policy, report=report)
@@ -94,20 +100,23 @@ def execute_trials(
     kept: List[SpreadResult] = []
     n: Optional[int] = None
 
-    def consume(index: int, result: SpreadResult) -> None:
+    def consume(index: int, result) -> None:
         nonlocal n
-        spread_times.append(result.spread_time)
+        # A slim forked trial arrives as its (spread_time, n) pair.
+        pair = result if isinstance(result, tuple) else (result.spread_time, result.n)
+        spread_times.append(pair[0])
         if n is None:
-            n = result.n
+            n = pair[1]
         if keep_results:
             kept.append(result)
         if observer is not None:
             observer.on_trial(index, result)
 
+    slim = observer is None and not keep_results
     if stop_rule is None and workers > 1 and trials > 1:
         # Non-adaptive parallel fast path: one fan-out over every trial.
         results = _run_batch(runner, factory, generators, source, workers, run_kwargs,
-                             policy=policy, report=report)
+                             policy=policy, report=report, slim=slim)
         if results is not None:
             for index, result in enumerate(results):
                 consume(index, result)
@@ -128,7 +137,7 @@ def execute_trials(
         if stop_rule is not None and workers > 1:
             batch = generators[index : index + batch_size]
             results = _run_batch(runner, factory, batch, source, workers, run_kwargs,
-                                 policy=policy, report=report)
+                                 policy=policy, report=report, slim=slim)
             if results is not None:
                 for result in results:
                     consume(index, result)
@@ -171,6 +180,10 @@ def execute_batched(
     single-process batch (and to any other worker count).  Falls back to one
     unsharded batch on platforms without ``fork``.  Returns the same
     ``(spread_times, kept_results, n)`` triple as :func:`execute_trials`.
+
+    Without ``keep_results`` every batch runs the process's ``spread_times``
+    column terminal instead of ``run_batch``: no per-trial result is built,
+    and each shard sends back one float64 array rather than pickled dicts.
     """
     require(
         isinstance(workers, int) and workers >= 1,
@@ -178,38 +191,27 @@ def execute_batched(
     )
     generators = spawn_rngs(rng, trials)
 
-    results: Optional[List[SpreadResult]] = None
-    if workers > 1 and trials > 1:
-        shards = min(workers, trials)
-        # Contiguous, near-even spans: shard i gets trials [bounds[i], bounds[i+1]).
-        bounds = np.linspace(0, trials, shards + 1).astype(int)
-        spans = [
-            (int(bounds[i]), int(bounds[i + 1]))
-            for i in range(shards)
-            if bounds[i] < bounds[i + 1]
-        ]
+    terminal = process.run_batch if keep_results else process.spread_times
 
-        def one_shard(span: Tuple[int, int]) -> List[SpreadResult]:
-            lo, hi = span
-            return process.run_batch(
-                network,
-                hi - lo,
-                source=source,
-                max_time=max_time,
-                generators=generators[lo:hi],
-            )
-
-        sharded = fork_map(one_shard, spans, workers, policy=policy, report=report)
-        if sharded is not None:
-            results = [result for shard in sharded for result in shard]
-    if results is None:
-        results = process.run_batch(
-            network, trials, source=source, max_time=max_time, generators=generators
+    def solve(span: Tuple[int, int]):
+        lo, hi = span
+        return terminal(
+            network, hi - lo, source=source, max_time=max_time,
+            generators=generators[lo:hi],
         )
 
-    spread_times = [result.spread_time for result in results]
-    kept = list(results) if keep_results else []
-    return spread_times, kept, results[0].n
+    shards = None
+    if workers > 1 and trials > 1:
+        # Contiguous, near-even spans: shard i gets trials [bounds[i], bounds[i+1]).
+        bounds = np.linspace(0, trials, min(workers, trials) + 1).astype(int)
+        spans = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        shards = fork_map(solve, spans, workers, policy=policy, report=report)
+    if shards is None:
+        shards = [solve((0, trials))]
+    if not keep_results:
+        return np.concatenate(shards).tolist(), [], network.n
+    kept = [result for shard in shards for result in shard]
+    return [result.spread_time for result in kept], kept, network.n
 
 
 __all__ = ["execute_batched", "execute_trials"]

@@ -38,9 +38,17 @@ independent ``Exp(rate)`` delays on the directed adjacency entries — see
 The trial axis streams through in blocks of
 ``max(1, BLOCK_DELAY_ENTRIES // m)`` trials: each block draws its
 ``(block, m)`` exponential delays (every row from that trial's own
-generator), one vectorised frontier relaxation solves it, and its rows land
-in the ``(T, n)`` time matrix before the next block is drawn.  That replaces
-the entire event loop while bounding memory by the block, not by ``T·m``.
+generator), one vectorised frontier relaxation solves it, and its rows are
+consumed before the next block is drawn.  That replaces the entire event
+loop while bounding memory by the block, not by ``T·m``.
+
+Two terminals share the validation, the generators and both paths.
+``run_batch`` builds one :class:`SpreadResult` (with an ``n``-entry
+``informed_times`` dict) per trial; ``spread_times`` returns only the
+float64 spread-time column that a many-trial ``collect()`` keeps.  It
+reduces each solved block to its row maxima (the clique closed form takes
+the last cumulative time), so it holds one block plus ``T`` floats, and
+since a maximum is exact its values are bit-identical to ``run_batch``'s.
 
 Because all trials share one network realisation, the engine requires a
 :class:`repro.dynamics.sequences.StaticDynamicNetwork` — snapshot changes at
@@ -52,7 +60,7 @@ boundary engine's re-sampling there is a no-op by memorylessness.
 from __future__ import annotations
 
 import math
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -169,6 +177,25 @@ class BatchedRumorSpreading:
         ``execute_batched`` relies on to split a batch across workers.
         Returns one :class:`SpreadResult` per trial, in trial order.
         """
+        return self._solve(network, trials, source, rng, max_time, generators, column=False)
+
+    def spread_times(
+        self,
+        network: DynamicNetwork,
+        trials: int,
+        source: Optional[Hashable] = None,
+        rng: RngLike = None,
+        max_time: Optional[float] = None,
+        generators: Optional[Sequence[np.random.Generator]] = None,
+    ) -> np.ndarray:
+        """``[r.spread_time for r in run_batch(...)]`` as a float64 array.
+
+        Same arguments, draws and values (``inf`` for a trial that does not
+        complete), without building any :class:`SpreadResult`.
+        """
+        return self._solve(network, trials, source, rng, max_time, generators, column=True)
+
+    def _solve(self, network, trials, source, rng, max_time, generators, column):
         require_node_count(trials, minimum=1, name="trials")
         reason = batched_supported(network)
         require(reason is None, reason or "")
@@ -197,9 +224,11 @@ class BatchedRumorSpreading:
         n = snapshot.n
         is_complete = snapshot.indices.size == n * (n - 1)
         if is_complete and not pending and not down[source_id]:
-            return self._run_clique_batch(snapshot, nodes, source_id, down, gens, limit)
+            return self._run_clique_batch(
+                snapshot, nodes, source_id, down, gens, limit, column
+            )
         return self._run_percolation_batch(
-            snapshot, nodes, source_id, down, pending, gens, limit
+            snapshot, nodes, source_id, down, pending, gens, limit, column
         )
 
     # ------------------------------------------------------------------
@@ -214,7 +243,8 @@ class BatchedRumorSpreading:
         down: np.ndarray,
         gens: List[np.random.Generator],
         limit: float,
-    ) -> List[SpreadResult]:
+        column: bool,
+    ) -> Union[np.ndarray, List[SpreadResult]]:
         n = snapshot.n
         trials = len(gens)
         a, b = self.variant.rate_coefficients()
@@ -225,6 +255,8 @@ class BatchedRumorSpreading:
         if m == 0 or delivery <= 0.0:
             # Nothing to inform (or nothing can ever be delivered).
             completed = m == 0
+            if column:
+                return np.full(trials, 0.0 if completed else math.inf)
             return [
                 self._build_result(
                     nodes,
@@ -251,6 +283,9 @@ class BatchedRumorSpreading:
         times = np.cumsum(waits, axis=1)
 
         event_counts = (times < limit).sum(axis=1)
+        if column:
+            # Cumulative times never decrease: the last one is the maximum.
+            return np.where(event_counts == m, times[:, -1], math.inf)
         results = []
         for t in range(trials):
             k = int(event_counts[t])
@@ -274,7 +309,8 @@ class BatchedRumorSpreading:
         pending: List[Tuple[float, int]],
         gens: List[np.random.Generator],
         limit: float,
-    ) -> List[SpreadResult]:
+        column: bool,
+    ) -> Union[np.ndarray, List[SpreadResult]]:
         n = snapshot.n
         trials = len(gens)
         a, b = self.variant.rate_coefficients()
@@ -293,9 +329,14 @@ class BatchedRumorSpreading:
         if pending and m:
             clip = np.minimum(theta[snapshot.row_owner], theta[snapshot.indices])
 
+        # A trial is complete when every node is informed or excused: down
+        # from the start, or scheduled to crash strictly inside the horizon
+        # (the event engines drop such nodes from `remaining` at the crash
+        # boundary).
+        excused = down | (theta < limit)
         block = max(1, BLOCK_DELAY_ENTRIES // max(m, 1))
         buffer = np.empty((min(block, trials), m))
-        times = np.empty((trials, n))
+        out = np.empty(trials) if column else []
         for lo in range(0, trials, block):
             delays = buffer[: min(block, trials - lo)]
             for row, gen in zip(delays, gens[lo : lo + block]):
@@ -306,7 +347,7 @@ class BatchedRumorSpreading:
                 delays /= rates
             if unusable is not None:
                 delays[:, unusable] = np.inf
-            times[lo : lo + delays.shape[0]] = first_passage_times(
+            times = first_passage_times(
                 snapshot.indptr,
                 snapshot.indices,
                 snapshot.degrees,
@@ -315,24 +356,19 @@ class BatchedRumorSpreading:
                 clip=clip,
                 limit=limit,
             )
-        informed = np.isfinite(times)
-        # A trial is complete when every node is informed or excused: down
-        # from the start, or scheduled to crash strictly inside the horizon
-        # (the event engines drop such nodes from `remaining` at the crash
-        # boundary).
-        excused = down | (theta < limit)
-        completed = (informed | excused[None, :]).all(axis=1)
-
-        informed[:, source_id] = False
-        results = []
-        for t in range(trials):
-            ids = np.flatnonzero(informed[t])
-            results.append(
-                self._build_result(
-                    nodes, source_id, ids, times[t, ids], bool(completed[t]), limit
+            informed = np.isfinite(times)
+            completed = (informed | excused).all(axis=1)
+            if column:
+                spread = times.max(axis=1, where=informed, initial=0.0)
+                out[lo : lo + len(delays)] = np.where(completed, spread, math.inf)
+                continue
+            informed[:, source_id] = False
+            for row, mask, done in zip(times, informed, completed):
+                ids = np.flatnonzero(mask)
+                out.append(
+                    self._build_result(nodes, source_id, ids, row[ids], bool(done), limit)
                 )
-            )
-        return results
+        return out
 
     # ------------------------------------------------------------------
     # result construction

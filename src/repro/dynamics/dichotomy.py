@@ -113,8 +113,8 @@ class DynamicStarNetwork(DynamicNetwork):
 
     def _pick_center(self, informed: frozenset) -> int:
         # Labels equal compact ids (0..n), so the candidates are id arrays in
-        # label order; ``Generator.choice`` draws the same index from an
-        # array as from the equivalent list.
+        # label order; ``integers(0, k)`` draws the index that
+        # ``Generator.choice`` would over the same k candidates.
         candidates = np.ones(self.n, dtype=bool)
         if len(informed) < self.n:
             candidates[np.fromiter(informed, dtype=np.int64, count=len(informed))] = False
@@ -122,7 +122,7 @@ class DynamicStarNetwork(DynamicNetwork):
             candidates[self._last_center] = False
         candidates = np.flatnonzero(candidates)
         if self._randomize and self._run_rng is not None:
-            return int(self._run_rng.choice(candidates))
+            return int(candidates[self._run_rng.integers(candidates.size)])
         return int(candidates[0])
 
     def _center_for(self, t: int, informed: frozenset) -> int:

@@ -49,7 +49,12 @@ def forward_two_push_chain(
 
 
 def dynamic_star_center(nodes, informed, last_center, randomize, run_rng) -> int:
-    """The dynamic star's centre pick as a Python scan over the node labels."""
+    """The dynamic star's centre pick: a scan over the labels, drawn by ``choice``.
+
+    The library builds the candidates as an id array and draws the index
+    with ``Generator.integers``, which must pick the same centre and leave
+    the generator in the same state.
+    """
     uninformed = [u for u in nodes if u not in informed]
     if uninformed:
         if randomize and run_rng is not None:

@@ -4,6 +4,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.core.asynchronous import AsynchronousRumorSpreading
+from repro.core.synchronous import SynchronousRumorSpreading
 from repro.dynamics.dichotomy import CliqueBridgeNetwork, DynamicStarNetwork
 from graph_oracles import degree, has_edge
 import process_oracles
@@ -129,3 +131,46 @@ class TestDynamicStarNetwork:
                 )
                 assert network._last_center == last_center, (seed, t)
             assert network._run_rng.random() == oracle_rng.random()
+
+
+class RecordingStar(DynamicStarNetwork):
+    """A dynamic star that records its centres, optionally picked by the oracle."""
+
+    def __init__(self, n, oracle):
+        super().__init__(n)
+        self.oracle = oracle
+        self.centres = []
+
+    def _pick_center(self, informed):
+        if self.oracle:
+            return process_oracles.dynamic_star_center(
+                self.nodes, informed, self._last_center, self._randomize, self._run_rng
+            )
+        return super()._pick_center(informed)
+
+    def _center_for(self, t, informed):
+        centre = super()._center_for(t, informed)
+        self.centres.append(centre)
+        return centre
+
+
+class TestCentreDrawInWholeRuns:
+    """``integers`` picks the centres ``Generator.choice`` picked, run after run."""
+
+    @pytest.mark.parametrize(
+        "process",
+        [
+            AsynchronousRumorSpreading(engine="boundary"),
+            AsynchronousRumorSpreading(engine="naive"),
+            SynchronousRumorSpreading(),
+        ],
+        ids=["boundary", "naive", "sync"],
+    )
+    def test_equal_centres_and_spread_times(self, process):
+        for seed in range(5):
+            library, oracle = RecordingStar(20, False), RecordingStar(20, True)
+            result = process.run(library, rng=seed)
+            expected = process.run(oracle, rng=seed)
+            assert library.centres == oracle.centres and len(library.centres) > 2
+            assert result.spread_time == expected.spread_time
+            assert result.informed_times == expected.informed_times
