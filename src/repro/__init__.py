@@ -60,7 +60,7 @@ _EXPORTS = {
         "AbsolutelyDiligentNetwork", "CliqueBridgeNetwork", "DynamicStarNetwork",
         "EdgeMarkovianNetwork", "MobileAgentsNetwork",
     ), "repro.dynamics"),
-    **dict.fromkeys(("TrialSummary", "run_trials", "SweepResult", "sweep"), "repro.analysis"),
+    "TrialSummary": "repro.analysis",
     **dict.fromkeys(("ExperimentPipeline", "Scenario"), "repro.scenarios"),
     "api": "repro.api",
     "build_network": "repro.scenarios",

@@ -1,8 +1,8 @@
 """PEP 562 package exports that import their module on first use.
 
 The first read of a name imports its module and caches every export of that
-module on the package, so a function named after its own module
-(``repro.analysis.sweep``) replaces the submodule attribute the import sets.
+module on the package; an export naming a subpackage (``repro.api``)
+resolves to the subpackage itself.
 """
 
 import importlib

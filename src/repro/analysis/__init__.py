@@ -1,9 +1,9 @@
-"""Experiment harness: repeated trials, parameter sweeps, tables and fits.
+"""Analysis helpers: spread-time statistics, tables and slope fits.
 
-* :mod:`repro.analysis.trials` — run a process many times on (fresh copies
-  of) a dynamic network and summarise the spread time distribution.
-* :mod:`repro.analysis.sweep` — sweep a parameter (``n``, ``ρ``, ``k``, ...)
-  and collect one :class:`TrialSummary` per point.
+* :mod:`repro.analysis.trials` — :class:`TrialSummary`, the spread-time
+  statistics (mean, quantiles, w.h.p. stand-in) behind
+  :meth:`repro.api.TrialSet.summary`; trials themselves run through
+  :mod:`repro.api`.
 * :mod:`repro.analysis.tables` — render sweep results as plain-text tables /
   CSV, the format EXPERIMENTS.md and the benchmark harness print.
 * :mod:`repro.analysis.regression` — log–log slope fits used to check growth
@@ -14,8 +14,7 @@ from repro._lazy import lazy_exports
 
 # Resolved on first use: the checks read only the fits and the tables.
 _EXPORTS = {
-    **dict.fromkeys(("TrialSummary", "run_trials"), "repro.analysis.trials"),
-    **dict.fromkeys(("SweepResult", "sweep"), "repro.analysis.sweep"),
+    "TrialSummary": "repro.analysis.trials",
     **dict.fromkeys(("format_table", "to_csv"), "repro.analysis.tables"),
     **dict.fromkeys(("loglog_slope", "semilog_slope"), "repro.analysis.regression"),
     **dict.fromkeys(("EmpiricalDistribution", "mean_difference_z_score", "theorem_1_7_iii_tail"),

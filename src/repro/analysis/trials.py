@@ -1,4 +1,4 @@
-"""Repeated-trial runner and spread-time statistics.
+"""Spread-time statistics over repeated trials.
 
 The paper's statements are "with high probability" statements about the
 spread time; at finite ``n`` we estimate the w.h.p. spread time as an upper
@@ -6,17 +6,9 @@ quantile (by default the 90th percentile) of the empirical distribution over
 independent trials, alongside the mean, median and a normal-approximation
 confidence interval for the mean.
 
-Trials are independent by construction (per-trial generators are spawned from
-the master seed), so :func:`run_trials` can fan them out over a process pool:
-pass ``workers=k`` to run ``k`` trials concurrently.  ``workers=1`` (the
-default) is the plain serial loop, and because every trial uses the same
-derived generator either way, the parallel path returns bit-identical results
-on platforms with the ``fork`` start method.
-
-:func:`run_trials` is now a deprecated adapter over the unified execution
-path in :mod:`repro.api` (same semantics, same spread times for a fixed
-seed); :class:`TrialSummary` remains the canonical statistics object and
-backs :meth:`repro.api.TrialSet.summary`.
+Trials run through :mod:`repro.api`
+(``api.run(network=...).trials(k).collect()``); :class:`TrialSummary` is the
+statistics object behind :meth:`repro.api.TrialSet.summary`.
 """
 
 from __future__ import annotations
@@ -24,14 +16,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.utils.rng import RngLike
 from repro.utils.validation import require, require_probability
 
 if TYPE_CHECKING:
     from repro.core.state import SpreadResult
-    from repro.dynamics.base import DynamicNetwork
 
 #: Default quantile used as the finite-n stand-in for the w.h.p. spread time.
 DEFAULT_WHP_QUANTILE = 0.9
@@ -160,72 +150,4 @@ class TrialSummary:
         }
 
 
-def run_trials(
-    runner: Callable[..., SpreadResult],
-    network_factory: Callable[[], DynamicNetwork],
-    trials: int,
-    rng: RngLike = None,
-    source: Optional[Hashable] = None,
-    whp_quantile: float = DEFAULT_WHP_QUANTILE,
-    keep_results: bool = False,
-    workers: Optional[int] = None,
-    **run_kwargs,
-) -> TrialSummary:
-    """Run ``trials`` independent runs and summarise their spread times.
-
-    .. deprecated::
-        ``run_trials`` is a thin adapter over :mod:`repro.api` — prefer
-        ``repro.api.run(network=...).trials(k).workers(w).collect()``, which
-        returns a typed :class:`repro.api.TrialSet` and supports observers
-        and adaptive stopping.  The adapter is exact: for a fixed seed it
-        returns the same spread times as it always has.
-
-    Parameters
-    ----------
-    runner:
-        A bound method such as ``AsynchronousRumorSpreading(...).run`` — any
-        callable accepting ``(network, source=..., rng=..., **run_kwargs)``
-        and returning a :class:`SpreadResult`.
-    network_factory:
-        Zero-argument callable producing a fresh (or reusable — networks are
-        reset per run) dynamic network for each trial.
-    trials:
-        Number of independent runs.
-    rng:
-        Master seed; per-trial generators are derived from it so results are
-        reproducible and independent of ``trials`` *and* of ``workers``.
-    keep_results:
-        When True, the full :class:`SpreadResult` objects are retained on the
-        summary (memory heavy for large sweeps).
-    workers:
-        Number of worker processes.  ``None`` or ``1`` runs the plain serial
-        loop; ``k > 1`` distributes trials over ``k`` forked processes.
-        Trial ``i`` consumes the same derived generator either way, so for a
-        fixed master seed ``workers=1`` is bit-identical to the serial seed
-        behaviour and ``workers>1`` returns the same spread times in the same
-        order (on fork platforms; elsewhere the serial loop is used).  Note
-        that a ``network_factory`` closing over a *shared* generator is only
-        reproducible serially.
-    """
-    from repro.api._deprecation import warn_once
-    from repro.api._exec import execute_trials
-
-    warn_once(
-        "run_trials",
-        "run_trials is deprecated; use repro.api.run(network=...)"
-        ".trials(k).workers(w).collect() instead",
-    )
-    spread_times, results, _ = execute_trials(
-        runner=runner,
-        factory=network_factory,
-        trials=trials,
-        rng=rng,
-        source=source,
-        workers=1 if workers is None else workers,
-        run_kwargs=run_kwargs,
-        keep_results=keep_results,
-    )
-    return TrialSummary(spread_times=spread_times, results=results, whp_quantile=whp_quantile)
-
-
-__all__ = ["DEFAULT_WHP_QUANTILE", "TrialSummary", "run_trials"]
+__all__ = ["DEFAULT_WHP_QUANTILE", "TrialSummary"]

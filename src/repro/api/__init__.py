@@ -24,10 +24,9 @@ Quickstart::
     frame = api.run(network="clique", seed=3).trials(20).sweep([64, 128, 256])
     frame.column("mean")
 
-The legacy entry points (``AsynchronousRumorSpreading(...).run`` for direct
-engine access, and the deprecated ``run_trials`` / ``sweep`` helpers) remain
-available, but new code — and every internal consumer: the CLI, the
-experiments E1–E9, the scenario measurements — speaks this API.
+Repeated trials and sweeps run only through this API — the CLI, the
+experiments E1–E9 and the scenario measurements included; direct engine
+access (``AsynchronousRumorSpreading(...).run``) stays for single runs.
 
 Every name resolves on first use (PEP 562), so importing one submodule —
 :mod:`repro.api.sinks` on the cache-warm verify path — loads no engine.

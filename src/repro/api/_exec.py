@@ -1,17 +1,16 @@
 """The one trial-execution path behind :mod:`repro.api`.
 
-Everything that runs repeated trials — the fluent builder, the deprecated
-:func:`repro.analysis.trials.run_trials` / :func:`repro.analysis.sweep.sweep`
-shims, the scenario measurements and the CLI — funnels through
-:func:`execute_trials`.  Its contract is exactly the historical trial runner's:
+Everything that runs repeated trials — the fluent builder, the scenario
+measurements and the CLI — funnels through :func:`execute_trials` (or its
+vectorised twin :func:`execute_batched`).  The contract:
 
 * per-trial generators are spawned from the master seed up front, so trial
   ``i`` consumes the same generator regardless of ``workers`` or of how many
   trials end up running (adaptive early stopping consumes a prefix);
-* ``workers > 1`` fans trials over the shared forked process pool
-  (:func:`repro.utils.parallel.fork_map`), falling back to the serial loop on
-  platforms without ``fork``; for a fixed master seed the parallel path
-  returns the same spread times in the same order;
+* ``workers > 1`` fans trials over the supervised forked process pool
+  (:func:`fan_out`), which runs them in-process on platforms without
+  ``fork``; for a fixed master seed either way returns the same spread times
+  in the same order;
 * an optional :class:`repro.api.observers.RunObserver` receives engine-level
   hooks (serial execution only — forked children cannot report back) and an
   ``on_trial`` call per finished trial;
@@ -30,41 +29,32 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.state import SpreadResult
-from repro.execution.policy import RetryPolicy
+from repro.execution.policy import ONE_SHOT_POLICY, RetryPolicy
 from repro.execution.report import ExecutionReport
-from repro.utils.parallel import fork_map
+from repro.execution.supervisor import raise_first_failure, supervised_map
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import require, require_node_count
 
 
-def _run_batch(
-    runner: Callable[..., SpreadResult],
-    factory: Callable[[], object],
-    generators: Sequence[np.random.Generator],
-    source: Optional[Hashable],
+def fan_out(
+    fn: Callable,
+    items: Sequence,
     workers: int,
-    run_kwargs: Dict,
     policy: Optional[RetryPolicy] = None,
     report: Optional[ExecutionReport] = None,
-    slim: bool = False,
-) -> Optional[List]:
-    """Fan one batch of trials over a process pool; ``None`` without fork.
+) -> List:
+    """Map ``fn`` over ``items`` on the supervised fork pool, in item order.
 
-    The closure (runner, factory, generators) reaches the workers through the
-    inherited memory of :func:`repro.utils.parallel.fork_map`, so arbitrary
-    lambdas and bound methods work without being picklable.  Trials are pure
-    functions of their spawned generator, so an optional supervised
-    ``policy`` can retry a killed or failed trial bit-identically.  With
-    ``slim`` each trial comes back as ``(spread_time, n)`` only.
+    The closure reaches the workers through fork-inherited memory, so
+    arbitrary lambdas and bound methods work without being picklable; where
+    ``fork`` is missing the items run in-process.  Without a ``policy`` each
+    item gets one attempt.  The first failed item's original exception is
+    re-raised here.
     """
-
-    def one_trial(index: int):
-        network = factory()
-        result = runner(network, source=source, rng=generators[index], **run_kwargs)
-        return (result.spread_time, result.n) if slim else result
-
-    return fork_map(one_trial, range(len(generators)), workers,
-                    policy=policy, report=report)
+    outcomes = supervised_map(fn, items, workers=workers,
+                              policy=policy or ONE_SHOT_POLICY, report=report)
+    raise_first_failure(outcomes)
+    return [outcome.value for outcome in outcomes]
 
 
 def execute_trials(
@@ -112,15 +102,21 @@ def execute_trials(
         if observer is not None:
             observer.on_trial(index, result)
 
+    # Trials are pure functions of their spawned generator, so a supervised
+    # ``policy`` can retry a killed or failed one bit-identically.  A slim
+    # forked trial sends back only ``(spread_time, n)``.
     slim = observer is None and not keep_results
+
+    def one_trial(index: int):
+        result = runner(factory(), source=source, rng=generators[index], **run_kwargs)
+        return (result.spread_time, result.n) if slim else result
+
     if stop_rule is None and workers > 1 and trials > 1:
         # Non-adaptive parallel fast path: one fan-out over every trial.
-        results = _run_batch(runner, factory, generators, source, workers, run_kwargs,
-                             policy=policy, report=report, slim=slim)
-        if results is not None:
-            for index, result in enumerate(results):
-                consume(index, result)
-            return spread_times, kept, n
+        results = fan_out(one_trial, range(trials), workers, policy, report)
+        for index, result in enumerate(results):
+            consume(index, result)
+        return spread_times, kept, n
 
     serial_kwargs = dict(run_kwargs)
     if observer is not None:
@@ -135,17 +131,14 @@ def execute_trials(
     batch_size = workers
     while index < trials:
         if stop_rule is not None and workers > 1:
-            batch = generators[index : index + batch_size]
-            results = _run_batch(runner, factory, batch, source, workers, run_kwargs,
-                                 policy=policy, report=report, slim=slim)
-            if results is not None:
-                for result in results:
-                    consume(index, result)
-                    index += 1
-                if stop_rule.done(spread_times):
-                    break
-                batch_size = min(batch_size * 2, 4 * workers)
-                continue
+            batch = range(index, min(index + batch_size, trials))
+            for result in fan_out(one_trial, batch, workers, policy, report):
+                consume(index, result)
+                index += 1
+            if stop_rule.done(spread_times):
+                break
+            batch_size = min(batch_size * 2, 4 * workers)
+            continue
         network = factory()
         result = runner(network, source=source, rng=generators[index], **serial_kwargs)
         consume(index, result)
@@ -177,8 +170,8 @@ def execute_batched(
     trial, drawn here so that ``workers > 1`` can shard the trial axis into
     contiguous sub-batches over the fork pool — each shard consumes exactly
     its trials' generators, so the sharded results are bit-identical to the
-    single-process batch (and to any other worker count).  Falls back to one
-    unsharded batch on platforms without ``fork``.  Returns the same
+    single-process batch (and to any other worker count); without ``fork``
+    the shards run in-process.  Returns the same
     ``(spread_times, kept_results, n)`` triple as :func:`execute_trials`.
 
     Without ``keep_results`` every batch runs the process's ``spread_times``
@@ -200,13 +193,12 @@ def execute_batched(
             generators=generators[lo:hi],
         )
 
-    shards = None
     if workers > 1 and trials > 1:
         # Contiguous, near-even spans: shard i gets trials [bounds[i], bounds[i+1]).
         bounds = np.linspace(0, trials, min(workers, trials) + 1).astype(int)
         spans = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        shards = fork_map(solve, spans, workers, policy=policy, report=report)
-    if shards is None:
+        shards = fan_out(solve, spans, workers, policy, report)
+    else:
         shards = [solve((0, trials))]
     if not keep_results:
         return np.concatenate(shards).tolist(), [], network.n
@@ -214,4 +206,4 @@ def execute_batched(
     return [result.spread_time for result in kept], kept, network.n
 
 
-__all__ = ["execute_batched", "execute_trials"]
+__all__ = ["execute_batched", "execute_trials", "fan_out"]

@@ -14,9 +14,9 @@ identically for single runs, repeated trials and sweeps — the same rules the
 :class:`repro.scenarios.scenario.Scenario` dataclass and the CLI enforce.
 ``network`` accepts a registered family name (with parameters), an existing
 :class:`repro.dynamics.base.DynamicNetwork` instance, a factory callable
-(zero-argument; for sweeps it receives the swept value, matching the legacy
-``sweep`` helper), or one graph (a :class:`repro.graphs.csr.CsrSnapshot` or a
-``networkx.Graph``), run as a static network.
+(zero-argument; for sweeps it receives the swept value), or one graph (a
+:class:`repro.graphs.csr.CsrSnapshot` or a ``networkx.Graph``), run as a
+static network.
 
 Builders are immutable: every configuration method returns a new builder, so
 partially configured builders can be shared and specialised freely.
@@ -95,10 +95,6 @@ class RunSpec:
     keep_results: bool = False
     #: Optional supervised retry/timeout policy for parallel trial fan-outs.
     retry: Optional[RetryPolicy] = field(repr=False, default=None)
-    #: Internal: raw runner override used by the legacy shims.
-    runner: Optional[Callable] = field(repr=False, default=None)
-    #: Internal: extra keyword arguments forwarded verbatim to the runner.
-    run_kwargs: Mapping[str, Any] = field(repr=False, default_factory=dict)
 
     @property
     def unit(self) -> str:
@@ -334,14 +330,6 @@ class RunBuilder:
             policy = RetryPolicy(**fields)
         return self._replace(retry=policy)
 
-    def _with_runner(self, runner: Callable) -> "RunBuilder":
-        """Internal: bypass process resolution (legacy shim support)."""
-        return self._replace(runner=runner)
-
-    def _with_run_kwargs(self, **kwargs) -> "RunBuilder":
-        """Internal: forward raw keyword arguments to the runner (shims)."""
-        return self._replace(run_kwargs={**dict(self._spec.run_kwargs), **kwargs})
-
     # -- resolution --------------------------------------------------------
 
     def _observer(self) -> Optional[RunObserver]:
@@ -354,8 +342,6 @@ class RunBuilder:
 
     def _runner(self) -> Callable:
         spec = self._spec
-        if spec.runner is not None:
-            return spec.runner
         return resolve_process(spec.algorithm, spec.variant, spec.engine, spec.faults).run
 
     def _batched_network(
@@ -365,17 +351,14 @@ class RunBuilder:
 
         ``engine="batched"`` takes it (a non-static network raises) and
         ``engine="auto"`` takes it when the run is asynchronous, has no
-        observer, adaptive stop rule, custom runner, raw run kwargs or
-        recorder, and the network is static.  Returns the network to batch
-        over, or ``None`` for the serial engine; ``build`` is called only
-        once the spec-level checks pass.
+        observer, adaptive stop rule or recorder, and the network is static.
+        Returns the network to batch over, or ``None`` for the serial engine;
+        ``build`` is called only once the spec-level checks pass.
         """
         spec = self._spec
         if not (
             spec.engine in ("batched", "auto")
             and spec.algorithm == "async"
-            and spec.runner is None
-            and not spec.run_kwargs
             and not spec.observers
             and spec.until_ci_width is None
             and recorder is None
@@ -429,14 +412,11 @@ class RunBuilder:
 
     def _run_kwargs(self) -> Dict[str, Any]:
         spec = self._spec
-        kwargs: Dict[str, Any] = {}
-        if spec.max_time is not None:
-            if spec.algorithm == "sync":
-                kwargs["max_rounds"] = int(math.ceil(spec.max_time))
-            else:
-                kwargs["max_time"] = float(spec.max_time)
-        kwargs.update(spec.run_kwargs)
-        return kwargs
+        if spec.max_time is None:
+            return {}
+        if spec.algorithm == "sync":
+            return {"max_rounds": int(math.ceil(spec.max_time))}
+        return {"max_time": float(spec.max_time)}
 
     def _stop_rule(self) -> Optional[CIWidthRule]:
         if self._spec.until_ci_width is None:

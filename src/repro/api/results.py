@@ -21,7 +21,6 @@ from repro.execution.report import ExecutionReport
 from repro.utils.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (builder imports us)
-    from repro.analysis.sweep import SweepResult
     from repro.analysis.trials import TrialSummary
     from repro.api.builder import RunSpec
 
@@ -232,18 +231,6 @@ class SweepFrame:
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready document: the swept parameter and the flat rows."""
         return {"parameter": self.parameter_name, "rows": self.rows()}
-
-    def to_sweep_result(self) -> "SweepResult":
-        """Adapt to the legacy :class:`repro.analysis.sweep.SweepResult`."""
-        from repro.analysis.sweep import SweepPoint, SweepResult
-
-        return SweepResult(
-            parameter_name=self.parameter_name,
-            points=[
-                SweepPoint(value=value, summary=point.summary(), extras=dict(extra))
-                for value, point, extra in zip(self.values, self.points, self.extras)
-            ],
-        )
 
 
 __all__ = ["RunResult", "SweepFrame", "TrialSet"]

@@ -240,7 +240,7 @@ def sink_from_url(url: Union[str, Path]) -> ResultSink:
     ``http://host:1234``          :class:`repro.distributed.HttpSink` against
                                   that service (``https://`` likewise)
     ``some/plain/path``           :class:`LocalDirSink` (no scheme = a
-                                  directory path, matching ``--cache-dir``)
+                                  directory path)
     ============================  ===========================================
 
     Anything else raises ``ValueError``.

@@ -119,10 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"a running 'repro serve' (default: {default_cache_dir()!r})",
         )
         sub.add_argument(
-            "--cache-dir", default=None, metavar="DIR",
-            help="deprecated alias for --sink file://DIR",
-        )
-        sub.add_argument(
             "--no-cache", action="store_true",
             help="disable the JSON artifact cache for this run",
         )
@@ -249,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (0 picks an ephemeral port, announced on stdout)",
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=positive_int, default=2,
         help="worker threads executing queued runs concurrently",
     )
     serve_parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=positive_int, default=1,
         help="per-run point parallelism (1 keeps engine events streamable)",
     )
     serve_parser.add_argument(
@@ -262,15 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline's default cache dir)",
     )
     serve_parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="deprecated alias for --sink file://DIR",
-    )
-    serve_parser.add_argument(
         "--no-cache", action="store_true",
         help="keep artifacts in memory only (still served via /artifacts)",
     )
     serve_parser.add_argument(
-        "--max-events", type=int, default=10000,
+        "--max-events", type=positive_int, default=10000,
         help="per-run event buffer bound (older events are evicted)",
     )
     serve_parser.add_argument(
@@ -344,22 +336,10 @@ def _failure_flags(args: argparse.Namespace) -> tuple:
 def _sink_url_from_args(args: argparse.Namespace) -> Optional[str]:
     """The artifact-store URL the flags ask for (``None`` = caching off).
 
-    ``--sink URL`` is the one way to choose a store; ``--cache-dir DIR`` is
-    its deprecated spelling (a plain path is a valid ``--sink`` value), kept
-    as a shim that warns once per process like the ``run_trials`` adapter.
+    ``--sink URL`` is the one way to choose a store; a plain directory path
+    is a valid URL.
     """
     url = getattr(args, "sink", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is not None:
-        from repro.api._deprecation import warn_once
-
-        warn_once(
-            "cli-cache-dir",
-            "--cache-dir is deprecated; use --sink file://DIR "
-            "(or --sink DIR) instead",
-        )
-        if url is None:
-            url = cache_dir
     if getattr(args, "no_cache", False):
         return None
     return url if url is not None else default_cache_dir()

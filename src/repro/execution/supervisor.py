@@ -1,7 +1,7 @@
 """Supervised fan-out over forked worker processes.
 
 This is the resilience layer between the api/pipeline and the raw process
-pool.  The historical ``fork_map`` was a bare ``pool.map``: one OOM-killed
+pool.  The original fan-out was a bare ``pool.map``: one OOM-killed
 child, one raising item or one runaway run aborted the whole sweep with no
 retry, no timeout and no partial result.  :func:`supervised_map` replaces it
 with a per-item future scheduler:
@@ -24,7 +24,7 @@ same stream and successful results are **bit-identical** however many faults
 were recovered along the way.  Every recovery action is counted in an
 :class:`repro.execution.report.ExecutionReport`.
 
-Like the historical ``fork_map``, the pool path passes the callable and the
+Like the original ``pool.map``, the pool path passes the callable and the
 items to workers through fork-inherited memory (no pickling of closures); the
 payload window is serialised by a lock so concurrent supervised runs cannot
 fork workers that inherit each other's payload.

@@ -21,9 +21,9 @@ for user-supplied scenario files.  It expands scenarios into independent
   state or worker scheduling, with per-point ``status``/``error``/``attempts``
   and a cumulative :class:`repro.execution.ExecutionReport` on ``.report``.
 
-The default sink is :class:`repro.api.LocalDirSink` (one JSON artifact per
-key under ``cache_dir``); pass ``sink=`` to plug in any other store — a
-:class:`repro.api.MemorySink`, or a future shared cross-machine store.
+The artifact store is ``sink=``: a :class:`repro.api.LocalDirSink` (one JSON
+artifact per key under a directory), a :class:`repro.api.MemorySink`, a
+shared :class:`repro.distributed.HttpSink`, or none (caching off).
 Payloads are normalised through a JSON round-trip even when caching is off,
 so cached and freshly computed runs are byte-for-byte interchangeable.
 """
@@ -34,10 +34,9 @@ import json
 import os
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.api.sinks import LocalDirSink, NullSink, ResultSink
+from repro.api.sinks import NullSink, ResultSink
 from repro.execution.chaos import ChaosMonkey, chaos_from_env
 from repro.execution.policy import DEFAULT_POLICY, RetryPolicy
 from repro.execution.report import ExecutionReport
@@ -99,13 +98,10 @@ class ExperimentPipeline:
     jobs:
         Worker processes for point-level parallelism.  ``1`` (default) runs
         points serially; results are identical either way.
-    cache_dir:
-        Directory for JSON artifacts, or ``None`` (default) to disable
-        caching.  The directory is created on first write.  Shorthand for
-        ``sink=LocalDirSink(cache_dir)``.
     sink:
-        Any :class:`repro.api.ResultSink` artifact store; overrides
-        ``cache_dir`` when given.
+        Any :class:`repro.api.ResultSink` artifact store —
+        ``LocalDirSink(directory)`` for JSON files on disk — or ``None``
+        (default) to disable caching.
     keep_going:
         When True, a failed point is recorded (``status``/``error``) and the
         sweep continues; when False (default) the first failure re-raises its
@@ -129,7 +125,6 @@ class ExperimentPipeline:
     def __init__(
         self,
         jobs: int = 1,
-        cache_dir: Union[None, str, Path] = None,
         sink: Optional[ResultSink] = None,
         keep_going: bool = False,
         max_failures: Optional[int] = None,
@@ -138,14 +133,10 @@ class ExperimentPipeline:
     ):
         require(isinstance(jobs, int) and jobs >= 1,
                 f"jobs must be a positive integer, got {jobs!r}")
-        require(sink is None or cache_dir is None, "pass cache_dir or sink, not both")
         require(max_failures is None or (isinstance(max_failures, int) and max_failures >= 0),
                 f"max_failures must be a non-negative integer, got {max_failures!r}")
         self.jobs = jobs
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if sink is None:
-            sink = LocalDirSink(self.cache_dir) if cache_dir is not None else NullSink()
-        self.sink = sink
+        self.sink = NullSink() if sink is None else sink
         self.keep_going = keep_going
         self.max_failures = max_failures
         self.policy = DEFAULT_POLICY if policy is None else policy
@@ -161,10 +152,6 @@ class ExperimentPipeline:
         self.sink.store(key, _normalise(point.spec()), point.scenario.kind, payload)
 
     # -- execution -----------------------------------------------------------
-
-    def run_scenario(self, scenario: Scenario) -> List[PointResult]:
-        """Run a single scenario's points."""
-        return self.run([scenario])
 
     def run(
         self,

@@ -25,11 +25,10 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.api.observers import StructuredObserver
-from repro.api.sinks import LocalDirSink, MemorySink, ResultSink, payload_checksum
+from repro.api.sinks import MemorySink, ResultSink, payload_checksum
 from repro.checks import evaluate_checks
 from repro.execution.chaos import ChaosMonkey
 from repro.execution.policy import RetryPolicy
@@ -92,7 +91,9 @@ class ServiceConfig:
     streaming observer sees live engine events (``jobs > 1`` still works, but
     engine hooks then fire inside forked workers, invisible to subscribers —
     only lifecycle and result events stream).  ``workers`` is how many runs
-    execute concurrently.
+    execute concurrently.  ``sink`` is the shared artifact store (an
+    in-process :class:`repro.api.MemorySink` when ``None``); pass
+    ``LocalDirSink(directory)`` to keep artifacts on disk.
 
     ``coordinator=True`` switches run execution to the distributed mode: the
     service computes nothing itself, it exposes each submitted run's missing
@@ -105,7 +106,6 @@ class ServiceConfig:
     workers: int = 2
     jobs: int = 1
     sink: Optional[ResultSink] = None
-    cache_dir: Union[None, str, Path] = None
     keep_going: bool = True
     max_failures: Optional[int] = None
     max_events: int = DEFAULT_MAX_EVENTS
@@ -124,26 +124,22 @@ class _QueueItem:
 class ExperimentService:
     """Queued execution of scenario runs with streaming and metrics.
 
-    The service owns one shared artifact sink (``config.sink``, or a
-    :class:`repro.api.LocalDirSink` when ``cache_dir`` is set, or an
-    in-process :class:`repro.api.MemorySink` otherwise), so resubmitting an
-    identical scenario is served from cache, and ``GET /artifacts/{key}``
-    can retrieve any stored payload by content hash.
+    The service owns one shared artifact sink (``config.sink``, or an
+    in-process :class:`repro.api.MemorySink` when none is given), so
+    resubmitting an identical scenario is served from cache, and
+    ``GET /artifacts/{key}`` can retrieve any stored payload by content hash.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
-        require(
-            isinstance(self.config.workers, int) and self.config.workers >= 1,
-            f"workers must be a positive integer, got {self.config.workers!r}",
-        )
-        if self.config.sink is not None:
-            require(self.config.cache_dir is None, "pass cache_dir or sink, not both")
-            self.sink = self.config.sink
-        elif self.config.cache_dir is not None:
-            self.sink = LocalDirSink(self.config.cache_dir)
-        else:
-            self.sink = MemorySink()
+        # Checked here, not per run: a bad value would fail every submission.
+        for name in ("workers", "jobs", "max_events"):
+            value = getattr(self.config, name)
+            require(
+                isinstance(value, int) and value >= 1,
+                f"{name} must be a positive integer, got {value!r}",
+            )
+        self.sink = MemorySink() if self.config.sink is None else self.config.sink
         self.leases: Optional[LeaseRegistry] = None
         if self.config.coordinator:
             self.leases = LeaseRegistry(

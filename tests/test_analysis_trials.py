@@ -1,12 +1,12 @@
-"""Unit tests for the trial runner and spread-time statistics."""
+"""Unit tests for repeated trials through the api builder and their statistics."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.analysis.trials import DEFAULT_WHP_QUANTILE, TrialSummary, run_trials
-from repro.core.asynchronous import AsynchronousRumorSpreading
+from repro import api
+from repro.analysis.trials import DEFAULT_WHP_QUANTILE, TrialSummary
 from repro.dynamics.sequences import StaticDynamicNetwork
 from graph_oracles import clique, path
 
@@ -85,90 +85,78 @@ class TestTrialSummary:
             summary.quantile(1.5)
 
 
+def collect(factory, trials, seed=None, **options):
+    """``api.run(network=factory, seed=seed).trials(trials)`` plus builder options."""
+    builder = api.run(network=factory, seed=seed).trials(trials)
+    for name, value in options.items():
+        builder = getattr(builder, name)(value)
+    return builder.collect()
+
+
 class TestRunTrials:
     def test_runs_requested_number_of_trials(self):
-        process = AsynchronousRumorSpreading()
-        summary = run_trials(
-            process.run,
-            lambda: StaticDynamicNetwork(clique(range(8))),
-            trials=6,
-            rng=0,
-        )
-        assert summary.trials == 6
-        assert summary.completion_rate == 1.0
+        trial_set = collect(lambda: StaticDynamicNetwork(clique(range(8))), 6, seed=0)
+        assert trial_set.trials == 6
+        assert trial_set.summary().completion_rate == 1.0
 
     def test_results_kept_only_on_request(self):
-        process = AsynchronousRumorSpreading()
         factory = lambda: StaticDynamicNetwork(clique(range(6)))
-        without = run_trials(process.run, factory, trials=3, rng=0)
-        with_results = run_trials(process.run, factory, trials=3, rng=0, keep_results=True)
-        assert without.results == []
+        without = collect(factory, 3, seed=0)
+        with_results = collect(factory, 3, seed=0, keep_results=True)
+        assert without.results == ()
         assert len(with_results.results) == 3
 
     def test_reproducible_with_master_seed(self):
-        process = AsynchronousRumorSpreading()
         factory = lambda: StaticDynamicNetwork(clique(range(8)))
-        first = run_trials(process.run, factory, trials=4, rng=99)
-        second = run_trials(process.run, factory, trials=4, rng=99)
-        assert first.spread_times == second.spread_times
+        first = collect(factory, 4, seed=99)
+        second = collect(factory, 4, seed=99)
+        assert first.spread_times.tolist() == second.spread_times.tolist()
 
     def test_run_kwargs_are_forwarded(self):
-        process = AsynchronousRumorSpreading()
         factory = lambda: StaticDynamicNetwork(path(range(40)))
-        summary = run_trials(process.run, factory, trials=3, rng=0, max_time=0.1)
-        assert summary.completion_rate == 0.0
+        trial_set = collect(factory, 3, seed=0, max_time=0.1)
+        assert trial_set.completion_rate == 0.0
 
     def test_source_override(self):
-        process = AsynchronousRumorSpreading()
         factory = lambda: StaticDynamicNetwork(path(range(6)))
-        summary = run_trials(
-            process.run, factory, trials=2, rng=1, source=5, keep_results=True
-        )
-        assert all(result.source == 5 for result in summary.results)
+        trial_set = collect(factory, 2, seed=1, source=5, keep_results=True)
+        assert all(result.source == 5 for result in trial_set.results)
 
     def test_invalid_trial_count_rejected(self):
-        process = AsynchronousRumorSpreading()
         with pytest.raises(ValueError):
-            run_trials(process.run, lambda: StaticDynamicNetwork(clique(range(4))), trials=0)
+            collect(lambda: StaticDynamicNetwork(clique(range(4))), 0)
 
 
 class TestParallelRunTrials:
     def test_workers_one_is_bit_identical_to_serial(self):
-        process = AsynchronousRumorSpreading()
         factory = lambda: StaticDynamicNetwork(clique(range(12)))
-        serial = run_trials(process.run, factory, trials=6, rng=42)
-        explicit = run_trials(process.run, factory, trials=6, rng=42, workers=1)
-        assert serial.spread_times == explicit.spread_times
+        serial = collect(factory, 6, seed=42)
+        explicit = collect(factory, 6, seed=42, workers=1)
+        assert serial.spread_times.tolist() == explicit.spread_times.tolist()
 
     def test_parallel_matches_serial_for_fixed_seed(self):
         # Trial i consumes the same derived generator regardless of workers,
-        # so on fork platforms the parallel results are bit-identical too.
-        process = AsynchronousRumorSpreading()
+        # so the parallel results are bit-identical too.
         factory = lambda: StaticDynamicNetwork(clique(range(12)))
-        serial = run_trials(process.run, factory, trials=8, rng=7)
-        parallel = run_trials(process.run, factory, trials=8, rng=7, workers=2)
+        serial = collect(factory, 8, seed=7)
+        parallel = collect(factory, 8, seed=7, workers=2)
         assert parallel.trials == 8
-        assert parallel.spread_times == serial.spread_times
+        assert parallel.spread_times.tolist() == serial.spread_times.tolist()
 
     def test_parallel_keeps_results_on_request(self):
-        process = AsynchronousRumorSpreading()
         factory = lambda: StaticDynamicNetwork(clique(range(8)))
-        summary = run_trials(
-            process.run, factory, trials=4, rng=0, workers=2, keep_results=True
-        )
-        assert len(summary.results) == 4
-        assert all(result.completed for result in summary.results)
+        trial_set = collect(factory, 4, seed=0, workers=2, keep_results=True)
+        assert len(trial_set.results) == 4
+        assert all(result.completed for result in trial_set.results)
 
     def test_parallel_forwards_run_kwargs_and_source(self):
-        process = AsynchronousRumorSpreading()
-        factory = lambda: StaticDynamicNetwork(path(range(6)))
-        summary = run_trials(
-            process.run, factory, trials=3, rng=1, workers=2, source=5, keep_results=True
-        )
-        assert all(result.source == 5 for result in summary.results)
+        factory = lambda: StaticDynamicNetwork(path(range(40)))
+        trial_set = collect(factory, 3, seed=1, workers=2, source=5, max_time=0.1,
+                            keep_results=True)
+        assert all(result.source == 5 for result in trial_set.results)
+        assert trial_set.completion_rate == 0.0
 
     def test_invalid_workers_rejected(self):
-        process = AsynchronousRumorSpreading()
         factory = lambda: StaticDynamicNetwork(clique(range(4)))
         with pytest.raises(ValueError):
-            run_trials(process.run, factory, trials=2, workers=0)
+            collect(factory, 2, workers=0)

@@ -1,7 +1,6 @@
 """Tests for the fluent builder, typed results, sinks and scenario bindings."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -160,67 +159,12 @@ class TestTypedResults:
         assert document["parameter"] == "n"
         assert len(document["rows"]) == 2
 
-    def test_sweepframe_legacy_adapter(self):
-        frame = api.run(network="clique", seed=2).trials(2).sweep([6, 8])
-        legacy = frame.to_sweep_result()
-        assert legacy.values() == [6, 8]
-        assert legacy.series("mean") == [float(m) for m in frame.column("mean")]
-
     def test_keep_results_retains_spread_results(self):
         trial_set = (
             api.run(network="clique", n=8, seed=0).trials(3).keep_results().collect()
         )
         assert len(trial_set.results) == 3
         assert all(result.completed for result in trial_set.results)
-
-
-class TestLegacyShimEquivalence:
-    def test_run_trials_equals_builder_collect(self):
-        from repro.analysis.trials import run_trials
-        from repro.core.asynchronous import AsynchronousRumorSpreading
-
-        factory = lambda: StaticDynamicNetwork(clique(range(12)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_trials(
-                AsynchronousRumorSpreading().run, factory, trials=4, rng=9
-            )
-        modern = api.run(network=factory, seed=9).trials(4).collect()
-        assert legacy.spread_times == [float(t) for t in modern.spread_times]
-
-    def test_sweep_shim_equals_builder_sweep(self):
-        from repro.analysis.sweep import sweep
-        from repro.core.asynchronous import AsynchronousRumorSpreading
-
-        factory = lambda n: StaticDynamicNetwork(clique(range(n)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = sweep(
-                "n", [6, 8], factory, AsynchronousRumorSpreading().run, trials=3, rng=4
-            )
-        modern = api.run(network=factory, seed=4).trials(3).sweep([6, 8])
-        assert legacy.series("mean") == [float(m) for m in modern.column("mean")]
-        assert legacy.series("whp") == [float(m) for m in modern.column("whp")]
-
-    def test_shims_warn_exactly_once(self):
-        from repro.analysis.trials import run_trials
-        from repro.api._deprecation import reset_warnings
-        from repro.core.asynchronous import AsynchronousRumorSpreading
-
-        factory = lambda: StaticDynamicNetwork(clique(range(6)))
-        runner = AsynchronousRumorSpreading().run
-        reset_warnings()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                run_trials(runner, factory, trials=1, rng=0)
-                run_trials(runner, factory, trials=1, rng=0)
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-        finally:
-            reset_warnings()
 
 
 class TestScenarioBinding:
@@ -335,14 +279,14 @@ class TestSinks:
         second = ExperimentPipeline(sink=memory).run(scenario)
         assert [point.cached for point in first] == [False]
         assert [point.cached for point in second] == [True]
-        local_first = ExperimentPipeline(cache_dir=tmp_path).run(scenario)
+        local_first = ExperimentPipeline(sink=api.LocalDirSink(tmp_path)).run(scenario)
         assert [point.payload for point in second] == [
             point.payload for point in local_first
         ]
 
     def test_local_dir_sink_is_the_pipeline_cache_format(self, tmp_path):
         scenario = self._scenario()
-        results = ExperimentPipeline(cache_dir=tmp_path).run(scenario)
+        results = ExperimentPipeline(sink=api.LocalDirSink(tmp_path)).run(scenario)
         sink = api.LocalDirSink(tmp_path)
         artifact = json.loads(next(tmp_path.glob("*.json")).read_text())
         assert sink.load(results[0].key, artifact["spec"]) == results[0].payload
@@ -358,7 +302,3 @@ class TestSinks:
         sink = api.NullSink()
         sink.store("key", {}, "trials", {"x": 1})
         assert sink.load("key", {}) is None
-
-    def test_pipeline_rejects_cache_dir_and_sink(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            ExperimentPipeline(cache_dir=tmp_path, sink=api.MemorySink())

@@ -217,14 +217,14 @@ class TestSlimForkedTrials:
 
     def test_spread_times_identical_across_workers(self, monkeypatch):
         returned = []
-        fork_map = _exec.fork_map
+        supervised_map = _exec.supervised_map
 
         def recording(*args, **kwargs):
-            values = fork_map(*args, **kwargs)
-            returned.extend(values)
-            return values
+            outcomes = supervised_map(*args, **kwargs)
+            returned.extend(outcome.value for outcome in outcomes)
+            return outcomes
 
-        monkeypatch.setattr(_exec, "fork_map", recording)
+        monkeypatch.setattr(_exec, "supervised_map", recording)
         serial = self.collect(1)
         forked = self.collect(2)
         assert serial.spread_times.tolist() == forked.spread_times.tolist()
@@ -238,3 +238,23 @@ class TestSlimForkedTrials:
         forked = self.collect(2, keep=True)
         assert all(isinstance(result, SpreadResult) for result in forked.results)
         assert list(forked.results) == list(serial.results)
+
+
+class TestWithoutFork:
+    """Where ``fork`` is missing, ``workers > 1`` runs in-process, same numbers."""
+
+    @pytest.mark.parametrize("engine", ["boundary", "batched"])
+    def test_workers_two_equals_serial(self, engine, monkeypatch):
+        from repro.execution import supervisor
+
+        builder = (
+            api.run(network="erdos-renyi", n=150, p=0.06, seed=12, network_seed=5, max_time=6.0)
+            .engine(engine)
+            .trials(8)
+        )
+        serial = builder.collect()
+        monkeypatch.setattr(supervisor, "fork_available", lambda: False)
+        monkeypatch.setattr(supervisor, "_PoolSupervisor", None)  # no pool may start
+        unforked = builder.workers(2).collect()
+        assert unforked.spread_times.tolist() == serial.spread_times.tolist()
+        assert unforked.nodes == serial.nodes == 150

@@ -573,7 +573,7 @@ class TestSeedVerdictRegression:
 
     def test_report_json_verdicts_byte_identical_to_seed(self, cache_dir):
         buffer = io.StringIO()
-        code = main(["report", "--json", "--cache-dir", cache_dir], out=buffer)
+        code = main(["report", "--json", "--sink", cache_dir], out=buffer)
         assert code == 0
         document = json.loads(buffer.getvalue())
         verdicts = {experiment_id: result["passed"]
@@ -585,7 +585,7 @@ class TestSeedVerdictRegression:
     def test_verify_agrees_with_report(self, cache_dir):
         # Same cache dir: verify resumes from the report's artifacts.
         buffer = io.StringIO()
-        code = main(["verify", "--json", "--cache-dir", cache_dir], out=buffer)
+        code = main(["verify", "--json", "--sink", cache_dir], out=buffer)
         assert code == 0
         document = json.loads(buffer.getvalue())
         assert document["all_passed"] is True

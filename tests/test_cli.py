@@ -396,7 +396,7 @@ class TestScenariosCommands:
         )
         buffer = io.StringIO()
         code = main(
-            ["scenarios", "run", str(scenario_file), "--cache-dir", str(tmp_path / "cache")],
+            ["scenarios", "run", str(scenario_file), "--sink", str(tmp_path / "cache")],
             out=buffer,
         )
         assert code == 0
@@ -427,6 +427,12 @@ class TestScenariosCommands:
     def test_invalid_jobs_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "E8", "--jobs", "0"])
+
+    @pytest.mark.parametrize("flag", ["--workers", "--jobs", "--max-events"])
+    def test_serve_rejects_non_positive_tunables_before_binding(self, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "0", flag, "0"])
+        assert exit_info.value.code == 2
 
     def test_scenarios_run_json_payloads(self, tmp_path):
         scenario_file = tmp_path / "one.json"

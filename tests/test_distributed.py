@@ -327,7 +327,7 @@ class TestSinkFromUrl:
         file_sink = sink_from_url(f"file://{tmp_path}/cache")
         assert isinstance(file_sink, LocalDirSink)
         assert file_sink.directory == tmp_path / "cache"
-        # a plain path and a Path object mean LocalDirSink, like --cache-dir
+        # a plain path and a Path object mean LocalDirSink, like --sink DIR
         assert sink_from_url(str(tmp_path)).directory == tmp_path
         assert sink_from_url(tmp_path).directory == tmp_path
         http = sink_from_url("http://127.0.0.1:9")
@@ -860,29 +860,3 @@ class TestDistributedSubprocessAgreement:
                 serve.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 serve.kill()
-
-
-class TestCacheDirDeprecation:
-    def test_cache_dir_flag_warns_once_per_process(self, tmp_path):
-        from repro.api._deprecation import reset_warnings
-        from repro.cli import _sink_url_from_args
-
-        class Args:
-            sink = None
-            cache_dir = str(tmp_path / "cache")
-            no_cache = False
-
-        reset_warnings()
-        try:
-            with pytest.warns(DeprecationWarning, match="--cache-dir is deprecated"):
-                assert _sink_url_from_args(Args()) == str(tmp_path / "cache")
-            # second use: same URL, no second warning
-            import warnings as warnings_module
-            with warnings_module.catch_warnings():
-                warnings_module.simplefilter("error", DeprecationWarning)
-                assert _sink_url_from_args(Args()) == str(tmp_path / "cache")
-            # --sink wins when both are given
-            Args.sink = "memory://"
-            assert _sink_url_from_args(Args()) == "memory://"
-        finally:
-            reset_warnings()

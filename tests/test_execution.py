@@ -17,7 +17,7 @@ from repro.execution import (
     raise_first_failure,
     supervised_map,
 )
-from repro.utils.parallel import fork_map
+from repro.api._exec import fan_out
 
 pytestmark = pytest.mark.skipif(not fork_available(), reason="needs fork")
 
@@ -212,11 +212,13 @@ class TestSupervisedMapPool:
 
 
 class TestForkMapCompat:
+    """``fan_out`` keeps the contract of the ``fork_map`` wrapper it replaced."""
+
     def test_results_in_order(self):
-        assert fork_map(_square, [4, 2, 3], workers=2) == [16, 4, 9]
+        assert fan_out(_square, [4, 2, 3], workers=2) == [16, 4, 9]
 
     def test_empty(self):
-        assert fork_map(_square, [], workers=2) == []
+        assert fan_out(_square, [], workers=2) == []
 
     def test_original_exception_re_raised(self):
         def boom(value):
@@ -225,7 +227,7 @@ class TestForkMapCompat:
             return value
 
         with pytest.raises(KeyError, match="gone"):
-            fork_map(boom, [0, 1, 2], workers=2)
+            fan_out(boom, [0, 1, 2], workers=2)
 
     def test_policy_enables_retry(self, tmp_path):
         marker = tmp_path / "first-attempt"
@@ -238,8 +240,8 @@ class TestForkMapCompat:
 
         policy = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
         report = ExecutionReport()
-        values = fork_map(flaky_once, [0, 1, 2], workers=2,
-                          policy=policy, report=report)
+        values = fan_out(flaky_once, [0, 1, 2], workers=2,
+                         policy=policy, report=report)
         assert values == [0, 10, 20]
         assert report.retries >= 1
 

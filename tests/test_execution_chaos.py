@@ -205,9 +205,9 @@ class TestArtifactChecksums:
         scenario = Scenario(label="rotting", network="clique", sweep=(8, 12),
                             trials=2, seed=7)
         monkey = ChaosMonkey(seed=3, corrupt_rate=1.0)
-        first = ExperimentPipeline(cache_dir=tmp_path, chaos=monkey)
+        first = ExperimentPipeline(sink=LocalDirSink(tmp_path), chaos=monkey)
         first_results = first.run([scenario])
-        second = ExperimentPipeline(cache_dir=tmp_path, chaos=monkey)
+        second = ExperimentPipeline(sink=LocalDirSink(tmp_path), chaos=monkey)
         with pytest.warns(RuntimeWarning, match="checksum"):
             second_results = second.run([scenario])
         assert [point.cached for point in second_results] == [False, False]

@@ -5,13 +5,8 @@ test suite exercises the full pipeline (construction → simulation → bound
 evaluation) without taking benchmark-level time.
 """
 
-import math
-
-import pytest
-
-from repro.analysis.trials import run_trials
+from repro import api
 from repro.bounds.theorems import universal_quadratic_bound
-from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.core.synchronous import SynchronousRumorSpreading
 from repro.dynamics.absolute_diligent import AbsolutelyDiligentNetwork
 from repro.dynamics.dichotomy import CliqueBridgeNetwork, DynamicStarNetwork
@@ -23,36 +18,30 @@ from repro.experiments.theorem_1_1 import (
 from repro.experiments.standard_networks import static_clique_network, static_star_network
 
 
+def summarize(network_factory, trials, seed, algorithm="async"):
+    """Summary of ``trials`` runs through the api builder."""
+    builder = api.run(network=network_factory, seed=seed).algorithm(algorithm)
+    return builder.trials(trials).collect().summary()
+
+
 class TestTheorem11SmallScale:
     def test_clique_spread_is_within_both_bounds(self):
         n = 24
-        summary = run_trials(
-            AsynchronousRumorSpreading().run,
-            lambda: static_clique_network(n),
-            trials=8,
-            rng=0,
-        )
+        summary = summarize(lambda: static_clique_network(n), trials=8, seed=0)
         assert summary.completion_rate == 1.0
         assert summary.whp_spread_time <= constant_rate_theorem_1_1_bound(0.5, 1.0, n)
         assert summary.whp_spread_time <= constant_rate_theorem_1_3_bound(1 / (n - 1), n)
 
     def test_star_spread_is_within_absolute_bound(self):
         n = 24
-        summary = run_trials(
-            AsynchronousRumorSpreading().run,
-            lambda: static_star_network(n),
-            trials=8,
-            rng=1,
-        )
+        summary = summarize(lambda: static_star_network(n), trials=8, seed=1)
         assert summary.whp_spread_time <= constant_rate_theorem_1_3_bound(1.0, n)
 
 
 class TestRemark14SmallScale:
     def test_adversarial_connected_network_finishes_within_quadratic_bound(self):
         network_factory = lambda: AbsolutelyDiligentNetwork(48, 0.25)
-        summary = run_trials(
-            AsynchronousRumorSpreading().run, network_factory, trials=4, rng=2
-        )
+        summary = summarize(network_factory, trials=4, seed=2)
         assert summary.completion_rate == 1.0
         assert summary.maximum <= universal_quadratic_bound(48)
 
@@ -61,9 +50,7 @@ class TestTheorem12SmallScale:
     def test_diligent_family_is_slower_than_its_lower_prediction_scale(self):
         network_factory = lambda: DiligentDynamicNetwork(120, 0.5, rng=3)
         probe = network_factory()
-        summary = run_trials(
-            AsynchronousRumorSpreading().run, network_factory, trials=4, rng=3
-        )
+        summary = summarize(network_factory, trials=4, seed=3)
         assert summary.completion_rate == 1.0
         # The construction's whole point: the spread time is a constant
         # fraction of n/(4kΔ) or more.
@@ -77,17 +64,12 @@ class TestTheorem17SmallScale:
 
     def test_dynamic_star_async_much_faster_than_sync(self):
         n = 40
-        async_summary = run_trials(
-            AsynchronousRumorSpreading().run, lambda: DynamicStarNetwork(n), trials=10, rng=5
-        )
+        async_summary = summarize(lambda: DynamicStarNetwork(n), trials=10, seed=5)
         assert async_summary.mean < n / 3
 
     def test_clique_bridge_async_slower_than_sync(self):
         n = 40
-        async_summary = run_trials(
-            AsynchronousRumorSpreading().run, lambda: CliqueBridgeNetwork(n), trials=20, rng=6
-        )
-        sync_summary = run_trials(
-            SynchronousRumorSpreading().run, lambda: CliqueBridgeNetwork(n), trials=20, rng=7
-        )
+        async_summary = summarize(lambda: CliqueBridgeNetwork(n), trials=20, seed=6)
+        sync_summary = summarize(lambda: CliqueBridgeNetwork(n), trials=20, seed=7,
+                                 algorithm="sync")
         assert async_summary.mean > sync_summary.mean

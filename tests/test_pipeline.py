@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api.sinks import LocalDirSink
 from repro.experiments import registry
 from repro.experiments.registry import run_all
 from repro.experiments.result import ExperimentResult
@@ -38,14 +39,14 @@ class TestPipelineExecution:
 class TestPipelineCache:
     def test_cache_miss_then_hit(self, tmp_path):
         scenario = _tiny_scenario()
-        first = ExperimentPipeline(cache_dir=tmp_path).run([scenario])
+        first = ExperimentPipeline(sink=LocalDirSink(tmp_path)).run([scenario])
         assert [point.cached for point in first] == [False, False]
-        second = ExperimentPipeline(cache_dir=tmp_path).run([scenario])
+        second = ExperimentPipeline(sink=LocalDirSink(tmp_path)).run([scenario])
         assert [point.cached for point in second] == [True, True]
         assert [point.payload for point in first] == [point.payload for point in second]
 
     def test_artifacts_are_json_with_spec(self, tmp_path):
-        results = ExperimentPipeline(cache_dir=tmp_path).run([_tiny_scenario()])
+        results = ExperimentPipeline(sink=LocalDirSink(tmp_path)).run([_tiny_scenario()])
         artifacts = sorted(tmp_path.glob("*.json"))
         assert len(artifacts) == 2
         artifact = json.loads(artifacts[0].read_text())
@@ -55,18 +56,18 @@ class TestPipelineCache:
         assert artifact["checksum"].startswith("sha256:")
 
     def test_different_seed_misses_cache(self, tmp_path):
-        pipeline = ExperimentPipeline(cache_dir=tmp_path)
+        pipeline = ExperimentPipeline(sink=LocalDirSink(tmp_path))
         pipeline.run([_tiny_scenario(seed=1)])
         results = pipeline.run([_tiny_scenario(seed=2)])
         assert [point.cached for point in results] == [False, False]
 
     def test_corrupt_artifact_recomputed(self, tmp_path):
         scenario = _tiny_scenario()
-        pipeline = ExperimentPipeline(cache_dir=tmp_path)
+        pipeline = ExperimentPipeline(sink=LocalDirSink(tmp_path))
         first = pipeline.run([scenario])
         for artifact in tmp_path.glob("*.json"):
             artifact.write_text("{not json")
-        second = ExperimentPipeline(cache_dir=tmp_path).run([scenario])
+        second = ExperimentPipeline(sink=LocalDirSink(tmp_path)).run([scenario])
         assert [point.cached for point in second] == [False, False]
         assert [point.payload for point in first] == [point.payload for point in second]
 
@@ -82,8 +83,8 @@ class TestPipelineCache:
             label="too short", network="cycle", sweep=(16,), trials=2, seed=0,
             max_time=0.001,
         )
-        first = ExperimentPipeline(cache_dir=tmp_path).run([scenario])
-        second = ExperimentPipeline(cache_dir=tmp_path).run([scenario])
+        first = ExperimentPipeline(sink=LocalDirSink(tmp_path)).run([scenario])
+        second = ExperimentPipeline(sink=LocalDirSink(tmp_path)).run([scenario])
         assert second[0].cached
         assert first[0].payload == second[0].payload
         assert first[0].payload["spread_times"] == [float("inf")] * 2

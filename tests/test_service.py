@@ -272,6 +272,14 @@ class TestServiceExecution:
         assert "repro_runs_failed_total 1" in text.splitlines()
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["workers", "jobs", "max_events"])
+    def test_non_positive_tunables_rejected_at_start(self, field):
+        # A zero would otherwise start a service whose every run fails.
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            ExperimentService(ServiceConfig(**{field: 0}))
+
+
 class TestShutdown:
     def test_submit_after_shutdown_raises(self):
         service = ExperimentService(ServiceConfig(workers=1))

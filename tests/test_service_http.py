@@ -415,7 +415,7 @@ class TestServeCommand:
         """`repro serve` announces its port, serves a run, exits on SIGINT."""
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--workers", "1", "--cache-dir", str(tmp_path / "cache")],
+             "--workers", "1", "--sink", str(tmp_path / "cache")],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             cwd=str(Path(__file__).resolve().parent.parent),
