@@ -17,8 +17,6 @@ _EXPORTS = {
     "TrialSummary": "repro.analysis.trials",
     **dict.fromkeys(("format_table", "to_csv"), "repro.analysis.tables"),
     **dict.fromkeys(("loglog_slope", "semilog_slope"), "repro.analysis.regression"),
-    **dict.fromkeys(("EmpiricalDistribution", "mean_difference_z_score", "theorem_1_7_iii_tail"),
-                    "repro.analysis.distribution"),
 }
 __getattr__ = lazy_exports(__name__, _EXPORTS)
 __all__ = list(_EXPORTS)

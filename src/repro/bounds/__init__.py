@@ -1,12 +1,10 @@
 """Theoretical bounds on the spread time.
 
-* :mod:`repro.bounds.poisson` — non-homogeneous Poisson process utilities
-  (Theorem 2.1), the Poisson lower-tail bound of Lemma 2.2, and exponential
-  order-statistics helpers.
 * :mod:`repro.bounds.theorems` — the paper's bounds: ``T(G, c)`` of
   Theorem 1.1, ``T_abs(G)`` of Theorem 1.3, the Corollary 1.6 combination,
-  the static-network conductance bound of Chierichetti et al. [6], and the
-  lower-bound predictions of Theorems 1.2 / 1.5.
+  the Theorem 1.7(iii) tail on the dynamic star, the static-network
+  conductance bound of Chierichetti et al. [6], and the lower-bound
+  predictions of Theorems 1.2 / 1.5.
 * :mod:`repro.bounds.giakkoupis` — the degree-variation bound of Giakkoupis,
   Sauerwald and Stauffer [17] for the synchronous algorithm, used by the
   Section 1.2 comparison experiment.
@@ -17,12 +15,9 @@ from repro._lazy import lazy_exports
 # Resolved on first use: the experiments read only ``theorems``.
 _EXPORTS = {
     **dict.fromkeys(
-        ("NonHomogeneousPoissonProcess", "exponential_race_winner", "poisson_lower_tail_bound"),
-        "repro.bounds.poisson"),
-    **dict.fromkeys(
         ("C_CONSTANT_FACTOR", "SPREAD_CONSTANT_C0", "absolute_diligence_bound", "combined_bound",
          "conductance_diligence_bound", "static_conductance_bound", "theorem_1_1_threshold",
-         "theorem_1_3_threshold"), "repro.bounds.theorems"),
+         "theorem_1_3_threshold", "theorem_1_7_iii_tail"), "repro.bounds.theorems"),
     "giakkoupis_bound": "repro.bounds.giakkoupis",
 }
 __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -11,6 +11,9 @@ exceeds a threshold":
 * For static networks the classical bound of Chierichetti et al. [6]
   ``O(log n / Φ)`` is provided for comparison.
 
+The Theorem 1.7(iii) tail on the dynamic star ``G2``,
+``Pr[spread > 2k] ≤ e^{-k/2} + e^{-k}``, is a closed form in ``k`` alone.
+
 The per-step series are usually produced by a
 :class:`repro.dynamics.base.SnapshotRecorder` attached to a simulation run, or
 synthesised analytically for the paper's constructions.
@@ -190,6 +193,12 @@ def universal_quadratic_bound(n: int) -> float:
     return 2.0 * n * (n - 1.0)
 
 
+def theorem_1_7_iii_tail(k: float) -> float:
+    """The Theorem 1.7(iii) tail bound ``e^{-k/2} + e^{-k}`` (capped at 1)."""
+    require(k >= 0, "k must be non-negative")
+    return min(1.0, math.exp(-k / 2.0) + math.exp(-k))
+
+
 __all__ = [
     "BoundEvaluation",
     "C_CONSTANT_FACTOR",
@@ -201,5 +210,6 @@ __all__ = [
     "static_conductance_bound",
     "theorem_1_1_threshold",
     "theorem_1_3_threshold",
+    "theorem_1_7_iii_tail",
     "universal_quadratic_bound",
 ]

@@ -93,11 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list the available experiments", allow_abbrev=False)
 
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-        return value
+    def bounded_int(low: int, high: Optional[int] = None):
+        """An argparse type for the integers in ``[low, high]`` (``high=None``: no upper end)."""
+        def integer(text: str) -> int:
+            value = int(text)
+            if value < low or (high is not None and value > high):
+                limit = f"at least {low}" if high is None else f"in [{low}, {high}]"
+                raise argparse.ArgumentTypeError(f"must be {limit}, got {value}")
+            return value
+        return integer
 
     def poll_seconds(text: str) -> float:
         value = float(text)
@@ -109,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
-            "--jobs", type=positive_int, default=1,
+            "--jobs", type=bounded_int(1), default=1,
             help="worker processes for scenario-point parallelism (1 = serial)",
         )
         sub.add_argument(
@@ -129,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
             "non-zero)",
         )
         sub.add_argument(
-            "--max-failures", type=int, default=None, metavar="N",
+            "--max-failures", type=bounded_int(0), default=None, metavar="N",
             help="with --keep-going (implied), abort once more than N "
             "failures accumulated",
         )
@@ -241,15 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_parser.add_argument(
-        "--port", type=int, default=8765,
+        "--port", type=bounded_int(0, 65535), default=8765,
         help="bind port (0 picks an ephemeral port, announced on stdout)",
     )
     serve_parser.add_argument(
-        "--workers", type=positive_int, default=2,
+        "--workers", type=bounded_int(1), default=2,
         help="worker threads executing queued runs concurrently",
     )
     serve_parser.add_argument(
-        "--jobs", type=positive_int, default=1,
+        "--jobs", type=bounded_int(1), default=1,
         help="per-run point parallelism (1 keeps engine events streamable)",
     )
     serve_parser.add_argument(
@@ -262,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep artifacts in memory only (still served via /artifacts)",
     )
     serve_parser.add_argument(
-        "--max-events", type=positive_int, default=10000,
+        "--max-events", type=bounded_int(1), default=10000,
         help="per-run event buffer bound (older events are evicted)",
     )
     serve_parser.add_argument(
@@ -276,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "seconds without a report",
     )
     serve_parser.add_argument(
-        "--lease-attempts", type=positive_int, default=3, metavar="N",
+        "--lease-attempts", type=bounded_int(1), default=3, metavar="N",
         help="coordinator mode: attempt budget per point before it is "
         "marked failed",
     )
@@ -294,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--name", default=None, help="worker name shown in the lease listing"
     )
     worker_parser.add_argument(
-        "--max-points", type=positive_int, default=1, metavar="N",
+        "--max-points", type=bounded_int(1), default=1, metavar="N",
         help="points to lease per request",
     )
     worker_parser.add_argument(

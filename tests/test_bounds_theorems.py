@@ -1,4 +1,4 @@
-"""Unit tests for the paper's bounds (Theorems 1.1, 1.3, Corollary 1.6)."""
+"""Unit tests for the paper's bounds (Theorems 1.1, 1.3, 1.7(iii), Corollary 1.6)."""
 
 import math
 
@@ -14,6 +14,7 @@ from repro.bounds.theorems import (
     static_conductance_bound,
     theorem_1_1_threshold,
     theorem_1_3_threshold,
+    theorem_1_7_iii_tail,
     universal_quadratic_bound,
 )
 from repro.dynamics.base import SnapshotRecorder
@@ -123,3 +124,12 @@ class TestCombinedAndStatic:
         assert bundle["corollary_1_6"] == min(
             bundle["theorem_1_1"].bound, bundle["theorem_1_3"].bound
         )
+
+
+class TestTheorem17Tail:
+    def test_theorem_1_7_iii_tail(self):
+        assert theorem_1_7_iii_tail(0.0) == 1.0
+        assert theorem_1_7_iii_tail(4.0) == pytest.approx(math.exp(-2) + math.exp(-4))
+        assert theorem_1_7_iii_tail(20.0) < 1e-4
+        with pytest.raises(ValueError):
+            theorem_1_7_iii_tail(-1.0)

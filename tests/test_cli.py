@@ -428,11 +428,30 @@ class TestScenariosCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "E8", "--jobs", "0"])
 
-    @pytest.mark.parametrize("flag", ["--workers", "--jobs", "--max-events"])
-    def test_serve_rejects_non_positive_tunables_before_binding(self, flag):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--workers", "0"), ("--jobs", "0"), ("--max-events", "0"),
+         ("--port", "-1"), ("--port", "65536")],
+        ids=["--workers", "--jobs", "--max-events", "--port=-1", "--port=65536"],
+    )
+    def test_serve_rejects_non_positive_tunables_before_binding(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--port", "0", flag, "0"])
+            main(["serve", "--port", "0", flag, value])
         assert exit_info.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["experiment", "E8"], ["report"], ["verify"],
+         ["scenarios", "run", "examples/scenarios_demo.json"]],
+        ids=["experiment", "report", "verify", "scenarios-run"],
+    )
+    def test_negative_max_failures_rejected_by_parser(self, argv, capsys):
+        assert build_parser().parse_args([*argv, "--max-failures", "0"]).max_failures == 0
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*argv, "--max-failures", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --max-failures: must be at least 0, got -1" in capsys.readouterr().err
 
     def test_scenarios_run_json_payloads(self, tmp_path):
         scenario_file = tmp_path / "one.json"

@@ -6,6 +6,10 @@ CLI import no compute module at module level, so a cache-warm ``repro
 verify`` reads its artifacts and evaluates its checks without loading
 ``repro.core``, ``repro.dynamics`` or ``repro.graphs``.  The import checks run
 in fresh interpreters, since this test process has loaded everything.
+
+The same cold run also shows that no module is dead weight: a cold verify,
+the service and fleet entry points and the public api together load every
+module under ``src/repro``.
 """
 
 import json
@@ -39,10 +43,6 @@ COMPUTE_MODULES = (
     "repro.distributed",
 )
 
-#: A cheap verify subset with network-family scenarios (E5: the dichotomy
-#: networks) and a network-free kind (E8: the Lemma 4.2 chain).
-VERIFY_ONLY = ("E5", "E8")
-
 _PRELUDE = """
 import json, sys
 COMPUTE = tuple(json.loads(sys.argv[1]))
@@ -63,13 +63,28 @@ def _python(code, *args):
     return completed.stdout
 
 
+#: A cold ``repro verify`` at one job into a file sink (the warm test reads
+#: it back), then the service and fleet entry points and every public api
+#: name, so that ``sys.modules`` holds every module some path reaches.
+_COLD_RUN = """
+import io
+from repro.cli import main
+
+out = io.StringIO()
+code = main(["verify", "--scale", "small", "--json", "--jobs", "1", "--sink", sys.argv[2]], out=out)
+import repro.api, repro.distributed.worker, repro.service.app
+for name in repro.api.__all__:
+    getattr(repro.api, name)
+print(json.dumps({"code": code, "document": json.loads(out.getvalue()),
+                  "modules": sorted(name for name in sys.modules if name.split(".")[0] == "repro")}))
+"""
+
 _WARM_VERIFY = """
 import io
 from repro.cli import main
 
 out = io.StringIO()
-code = main(["verify", "--scale", "small", "--json", "--sink", sys.argv[2], "--only", *sys.argv[3:]],
-            out=out)
+code = main(["verify", "--scale", "small", "--json", "--sink", sys.argv[2]], out=out)
 print(json.dumps({"code": code, "document": json.loads(out.getvalue()), "loaded": compute_loaded()}))
 """
 
@@ -84,22 +99,41 @@ print("ok")
 """
 
 
-def test_warm_verify_loads_no_compute_module_and_repeats_the_cold_document(tmp_path):
-    sink = (tmp_path / "sink").as_uri()
-    cold = subprocess.run(
-        [sys.executable, "-m", "repro", "verify", "--scale", "small", "--json",
-         "--sink", sink, "--only", *VERIFY_ONLY],
-        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=300,
-    )
-    assert cold.returncode == 0, cold.stderr
-    warm = json.loads(_python(_WARM_VERIFY, sink, *VERIFY_ONLY))
+@pytest.fixture(scope="module")
+def cold_run(tmp_path_factory):
+    """``(sink URL, cold run output)``, shared so that the suite verifies cold once."""
+    sink = (tmp_path_factory.mktemp("cold") / "sink").as_uri()
+    cold = json.loads(_python(_COLD_RUN, sink))
+    assert cold["code"] == 0
+    return sink, cold
+
+
+def test_warm_verify_loads_no_compute_module_and_repeats_the_cold_document(cold_run):
+    sink, cold = cold_run
+    warm = json.loads(_python(_WARM_VERIFY, sink))
     assert warm["code"] == 0
     assert warm["loaded"] == []
     execution = warm["document"].pop("execution")
     assert execution["items"] == 0 and execution["cache_hits"] > 0
-    cold_document = json.loads(cold.stdout)
+    cold_document = dict(cold["document"])
     cold_document.pop("execution")
     assert warm["document"] == cold_document
+
+
+def _source_modules():
+    """Dotted names of every module file under ``src/repro``."""
+    names = []
+    for directory, _, files in os.walk(os.path.join(SRC, "repro")):
+        package = os.path.relpath(directory, SRC).replace(os.sep, ".")
+        names += [package if file == "__init__.py" else f"{package}.{file[:-3]}"
+                  for file in files if file.endswith(".py")]
+    return names
+
+
+def test_every_module_is_reached_by_verify_the_service_the_fleet_or_the_api(cold_run):
+    _, cold = cold_run
+    unreached = set(_source_modules()) - set(cold["modules"]) - {"repro.__main__"}
+    assert not unreached, f"no command, service, fleet or api path loads {sorted(unreached)}"
 
 
 def test_package_imports_load_no_compute_module_and_every_export_resolves():

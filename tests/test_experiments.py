@@ -9,9 +9,7 @@ import math
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, ExperimentResult, get_experiment, run_experiment
-from repro.experiments import lemma_4_2
-from repro.experiments.standard_networks import (
+from repro.dynamics.standard import (
     alternating_regular_complete_network,
     clique_metrics,
     cycle_metrics,
@@ -20,6 +18,8 @@ from repro.experiments.standard_networks import (
     static_cycle_network,
     static_star_network,
 )
+from repro.experiments import EXPERIMENTS, ExperimentResult, get_experiment, run_experiment
+from repro.experiments import lemma_4_2
 from repro.experiments.theorem_1_1 import (
     constant_rate_theorem_1_1_bound,
     constant_rate_theorem_1_3_bound,

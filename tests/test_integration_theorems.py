@@ -11,11 +11,11 @@ from repro.core.synchronous import SynchronousRumorSpreading
 from repro.dynamics.absolute_diligent import AbsolutelyDiligentNetwork
 from repro.dynamics.dichotomy import CliqueBridgeNetwork, DynamicStarNetwork
 from repro.dynamics.diligent import DiligentDynamicNetwork
+from repro.dynamics.standard import static_clique_network, static_star_network
 from repro.experiments.theorem_1_1 import (
     constant_rate_theorem_1_1_bound,
     constant_rate_theorem_1_3_bound,
 )
-from repro.experiments.standard_networks import static_clique_network, static_star_network
 
 
 def summarize(network_factory, trials, seed, algorithm="async"):
