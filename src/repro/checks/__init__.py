@@ -29,7 +29,8 @@ from repro.checks.check import (
     checks_from_data,
     checks_to_data,
 )
-from repro.checks.evaluate import CheckDataset, evaluate_check, evaluate_checks, rows_from_points
+from repro.checks.evaluate import (CheckDataset, evaluate_check, evaluate_checks,
+                                   rows_from_points, scenario_check_reports)
 
 __all__ = [
     "CHECK_KINDS",
@@ -42,4 +43,5 @@ __all__ = [
     "evaluate_check",
     "evaluate_checks",
     "rows_from_points",
+    "scenario_check_reports",
 ]

@@ -429,10 +429,31 @@ def evaluate_checks(checks: Sequence[Union[Check, Mapping[str, Any]]],
     ))
 
 
+def scenario_check_reports(scenarios: Sequence[Any],
+                           results: Sequence[Any]) -> Dict[str, CheckReport]:
+    """Evaluate each scenario's attached check table over its own points.
+
+    ``results`` are pipeline point results.  Keys are scenario labels,
+    disambiguated with ``#index`` on collision so a duplicated label can
+    never overwrite (and thereby mask) another scenario's failing report.
+    """
+    reports: Dict[str, CheckReport] = {}
+    for index, scenario in enumerate(scenarios):
+        if not scenario.checks:
+            continue
+        points = [point for point in results if point.scenario is scenario]
+        key = scenario.label
+        if key in reports:
+            key = f"{scenario.label} #{index}"
+        reports[key] = evaluate_checks(scenario.checks, points)
+    return reports
+
+
 __all__ = [
     "CheckDataset",
     "dataset_from",
     "evaluate_check",
     "evaluate_checks",
     "rows_from_points",
+    "scenario_check_reports",
 ]

@@ -53,6 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis.tables import format_table
 from repro.api.client import MAX_LEASE_WAIT_SECONDS
 from repro.api.sinks import MemorySink, sink_from_url
+from repro.checks import scenario_check_reports
 from repro.execution.chaos import chaos_from_env
 from repro.scenarios import (
     ExperimentPipeline,
@@ -61,6 +62,7 @@ from repro.scenarios import (
     failed_points,
     get_network_family,
     network_families,
+    parse_scenarios,
 )
 from repro.scenarios.scenario import ENGINES, VARIANTS
 from repro.utils.jsonio import finite_json
@@ -143,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment_parser.add_argument("experiment_id", help="experiment id, e.g. E2")
     experiment_parser.add_argument("--scale", choices=("small", "full"), default="small")
-    experiment_parser.add_argument("--seed", type=int, default=None)
+    experiment_parser.add_argument("--seed", type=bounded_int(0), default=None)
     experiment_parser.add_argument(
         "--json", action="store_true", help="emit the result as JSON instead of text"
     )
@@ -161,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument("--side", type=int, default=10, help="grid side (mobile agents)")
     simulate_parser.add_argument("--p", type=float, default=0.05, help="edge probability (Erdős–Rényi)")
     simulate_parser.add_argument("--degree", type=int, default=None, help="regular degree (expander / alternating)")
-    simulate_parser.add_argument("--trials", type=int, default=10)
-    simulate_parser.add_argument("--seed", type=int, default=0)
+    simulate_parser.add_argument("--trials", type=bounded_int(1), default=10)
+    simulate_parser.add_argument("--seed", type=bounded_int(0), default=0)
     simulate_parser.add_argument(
         "--algorithm", choices=("async", "sync"), default="async",
         help="asynchronous (continuous time) or synchronous (rounds)",
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run qualifies and boundary otherwise (auto)",
     )
     simulate_parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=bounded_int(1), default=1,
         help="worker processes for the trial runner (1 = serial)",
     )
     simulate_parser.add_argument(
@@ -541,67 +543,36 @@ def _run_simulate(args, out) -> int:
 
 
 def _command_report(args, out) -> int:
-    from repro.experiments.reporting import (
-        all_passed,
-        build_results,
-        render_markdown,
-        results_as_dict,
-        validate_experiment_ids,
-    )
+    """``report`` (markdown or results JSON) and ``verify`` (check tables)."""
+    from repro.experiments import reporting
 
     if args.only is not None:
         try:
-            validate_experiment_ids(args.only)  # fail fast, before any run
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    keep_going, max_failures = _failure_flags(args)
-    failure_log: List[Dict[str, Any]] = []
-    results = build_results(
-        scale=args.scale, experiment_ids=args.only, pipeline=_make_pipeline(args),
-        keep_going=keep_going, max_failures=max_failures, failure_log=failure_log,
-    )
-    if args.json:
-        _dump_json(results_as_dict(results), out)
-    else:
-        print(render_markdown(results), file=out)
-    _emit_failure_table(failure_log, "report: failed experiments")
-    # Non-zero on any failed shape check so CI can gate on the exit code
-    # instead of re-parsing the JSON document.
-    return 0 if all_passed(results) else 1
-
-
-def _command_verify(args, out) -> int:
-    from repro.experiments.reporting import (
-        all_passed,
-        build_results,
-        render_verification,
-        validate_experiment_ids,
-        verification_as_dict,
-    )
-
-    if args.only is not None:
-        try:
-            validate_experiment_ids(args.only)  # fail fast, before any run
+            reporting.validate_experiment_ids(args.only)  # fail fast, before any run
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
     keep_going, max_failures = _failure_flags(args)
     failure_log: List[Dict[str, Any]] = []
     pipeline = _make_pipeline(args)
-    results = build_results(
+    results = reporting.build_results(
         scale=args.scale, experiment_ids=args.only, pipeline=pipeline,
         keep_going=keep_going, max_failures=max_failures, failure_log=failure_log,
     )
+    verify = args.command == "verify"
     if args.json:
         _dump_json(
-            verification_as_dict(results, scale=args.scale, execution=pipeline.report),
+            reporting.verification_as_dict(results, scale=args.scale, execution=pipeline.report)
+            if verify else reporting.results_as_dict(results),
             out,
         )
     else:
-        print(render_verification(results), file=out)
-    _emit_failure_table(failure_log, "verify: failed experiments")
-    return 0 if all_passed(results) else 1
+        render = reporting.render_verification if verify else reporting.render_markdown
+        print(render(results), file=out)
+    _emit_failure_table(failure_log, f"{args.command}: failed experiments")
+    # Non-zero on any failed check so CI can gate on the exit code instead
+    # of re-parsing the JSON document.
+    return 0 if reporting.all_passed(results) else 1
 
 
 def _scenario_tables(scale: str) -> Dict[str, List[Scenario]]:
@@ -678,19 +649,9 @@ def _command_scenarios_list(args, out) -> int:
 def _command_scenarios_run(args, out) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        if isinstance(document, dict) and "scenarios" in document:
-            raw_scenarios = document["scenarios"]
-        elif isinstance(document, dict):
-            raw_scenarios = [document]
-        else:
-            raw_scenarios = document
-        scenarios = [Scenario.from_dict(raw) for raw in raw_scenarios]
-    except (OSError, ValueError, TypeError) as error:
+            scenarios = parse_scenarios(json.load(handle))
+    except (OSError, ValueError) as error:
         print(f"error: {args.file}: {error}", file=sys.stderr)
-        return 2
-    if not scenarios:
-        print(f"error: {args.file}: no scenarios in file", file=sys.stderr)
         return 2
     pipeline = _make_pipeline(args, point_keep_going=True)
     results = pipeline.run(scenarios)
@@ -705,7 +666,7 @@ def _command_scenarios_run(args, out) -> int:
         }
         for point in failures
     ]
-    check_reports = _scenario_check_reports(scenarios, results)
+    check_reports = scenario_check_reports(scenarios, results)
     checks_passed = all(report.passed for report in check_reports.values())
     run_ok = checks_passed and not failures
     point_documents = [
@@ -773,27 +734,6 @@ def _command_scenarios_run(args, out) -> int:
         )
     _emit_failure_table(failure_rows, "scenarios run: failed points")
     return 0 if run_ok else 1
-
-
-def _scenario_check_reports(scenarios: List[Scenario], results):
-    """Evaluate each scenario's attached check table over its own points.
-
-    Keys are scenario labels, disambiguated with ``#index`` on collision so
-    a duplicated label can never overwrite (and thereby mask) another
-    scenario's failing report.
-    """
-    from repro.checks import evaluate_checks
-
-    reports = {}
-    for index, scenario in enumerate(scenarios):
-        if not scenario.checks:
-            continue
-        points = [point for point in results if point.scenario is scenario]
-        key = scenario.label
-        if key in reports:
-            key = f"{scenario.label} #{index}"
-        reports[key] = evaluate_checks(scenario.checks, points)
-    return reports
 
 
 def _command_serve(args, out) -> int:
@@ -898,10 +838,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
         return _command_simulate(args, out)
-    if args.command == "report":
+    if args.command in ("report", "verify"):
         return _command_report(args, out)
-    if args.command == "verify":
-        return _command_verify(args, out)
     if args.command == "scenarios":
         if args.scenarios_command == "list":
             return _command_scenarios_list(args, out)

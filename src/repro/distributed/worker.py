@@ -10,28 +10,29 @@ Because every payload is a pure function of the point's scenario seed policy,
 any number of workers — joining late, dying mid-lease, overlapping after a
 reclamation — produce exactly the bytes a single-machine serial run would.
 
-Chaos: the ``REPRO_CHAOS`` schedule is applied at lease granularity, indexed
-by the point's position in its run and the lease's attempt number — the same
-``(index, attempt)`` pure-function contract as the in-process supervisor, so
-a kill/slow schedule replays identically across the wire.  A ``kill``
+Chaos: the ``REPRO_CHAOS`` schedule is applied at lease granularity through
+:meth:`repro.execution.ChaosMonkey.maybe_inject`, indexed by the point's
+position in its run and the lease's attempt number — the same ``(index,
+attempt)`` pure-function contract as the in-process supervisor, so a
+kill/slow schedule replays identically across the wire.  A ``kill``
 decision terminates the worker process abruptly (``os._exit(86)``) when the
-loop runs as its own process (the CLI); in-process callers get it degraded to
-a raised :class:`repro.execution.chaos.ChaosKill` so chaos can never take
-down a test runner or a supervising parent.
+loop runs as its own process (the CLI passes ``kill_exits_process``);
+in-process callers get it degraded to a raised
+:class:`repro.execution.chaos.ChaosKill` so chaos can never take down a test
+runner or a supervising parent.
 """
 
 from __future__ import annotations
 
 import http.client
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.api.client import MAX_LEASE_WAIT_SECONDS, ServiceClient, ServiceError
 from repro.api.sinks import ResultSink
 from repro.distributed.http_sink import HttpSink
-from repro.execution.chaos import ChaosKill, ChaosMonkey, chaos_from_env
+from repro.execution.chaos import ChaosMonkey, chaos_from_env
 from repro.scenarios.measurements import measure_point
 from repro.scenarios.pipeline import _normalise
 from repro.scenarios.scenario import Scenario, ScenarioPoint
@@ -57,7 +58,6 @@ class WorkerStats:
     cached: int = 0
     failed: int = 0
     stopped: str = "closed"
-    notes: list = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -101,19 +101,8 @@ def execute_lease(
             f"{derived[:12]}… (coordinator/worker version skew?)"
         )
     if chaos is not None:
-        fault = chaos.decision(int(lease["point"].get("chaos_index", 0)),
-                               int(lease["attempt"]))
-        if fault == "kill":
-            if kill_exits_process:
-                os._exit(86)  # abrupt worker death: the lease must expire
-            raise ChaosKill(
-                f"chaos kill for lease {lease['lease']} "
-                "(degraded to a raise in-process)"
-            )
-        if fault == "raise":
-            raise RuntimeError(f"chaos raise for lease {lease['lease']}")
-        if fault == "slow":
-            time.sleep(chaos.slow_seconds)
+        chaos.maybe_inject(int(lease["point"].get("chaos_index", 0)), int(lease["attempt"]),
+                           kill_exits_process=kill_exits_process)
     spec = _normalise(point.spec())
     if sink.load(key, spec) is not None:
         return {"cached": True}

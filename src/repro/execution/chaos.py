@@ -15,9 +15,10 @@ Every decision is a pure function of ``(seed, item index, attempt)`` (or of
 the artifact key), so a chaos run is exactly reproducible: the fault-injection
 test suite replays identical kill/raise/slow schedules on every platform, and
 a retried attempt can make progress because the next attempt draws a fresh
-decision.  Kills only ever fire inside worker processes — in the parent (or
-the serial fallback) a kill decision degrades to a raise so chaos can never
-take down the supervising process itself.
+decision.  Whether a kill exits the process is the caller's to say: the
+supervisor lets it exit only a forked worker and the ``repro worker`` CLI
+its own process; everywhere else a kill decision degrades to a raise, so
+chaos can never take down a supervising process or a test runner.
 
 ``chaos_from_env()`` reads the ``REPRO_CHAOS`` environment variable
 (``"kill=0.1,raise=0.1,slow=0.05,corrupt=0.1,slow_seconds=0.2,seed=0"``) so
@@ -45,14 +46,7 @@ class ChaosError(RuntimeError):
 
 
 class ChaosKill(ChaosError):
-    """A kill decision raised in-process (parent / serial fallback only)."""
-
-
-def _in_worker_process() -> bool:
-    """True when running inside a spawned/forked child process."""
-    import multiprocessing  # only a kill decision asks; cache-warm runs never do
-
-    return multiprocessing.parent_process() is not None
+    """A kill decision raised where it may not exit the process."""
 
 
 @dataclass(frozen=True)
@@ -92,14 +86,19 @@ class ChaosMonkey:
             return "slow"
         return None
 
-    def maybe_inject(self, index: int, attempt: int) -> None:
-        """Inject this attempt's fault (called at the top of a work item)."""
+    def maybe_inject(self, index: int, attempt: int,
+                     kill_exits_process: bool = False) -> None:
+        """Inject this attempt's fault (called at the top of a work item).
+
+        A kill exits the process (``os._exit(86)``) only when the caller
+        says ``kill_exits_process``; otherwise it raises :class:`ChaosKill`.
+        """
         fault = self.decision(index, attempt)
         if fault is None:
             return
         if fault == "kill":
-            if _in_worker_process():
-                os._exit(86)  # abrupt worker death: the pool breaks
+            if kill_exits_process:
+                os._exit(86)  # abrupt worker death: the pool breaks, the lease expires
             raise ChaosKill(
                 f"chaos kill for item {index} attempt {attempt} "
                 "(degraded to a raise outside a worker process)"

@@ -61,17 +61,6 @@ class ExecutionReport:
             setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
         return self
 
-    def __add__(self, other: "ExecutionReport") -> "ExecutionReport":
-        """A new report holding the sum of both operands (neither mutated).
-
-        The non-mutating sibling of :meth:`merge`, for aggregating per-run
-        reports across requests (e.g. a service-wide ``/metrics`` total)
-        without touching the per-run records.
-        """
-        if not isinstance(other, ExecutionReport):
-            return NotImplemented
-        return self.copy().merge(other)
-
     def copy(self) -> "ExecutionReport":
         """An independent copy of this report's counters."""
         return ExecutionReport(**self.as_dict())

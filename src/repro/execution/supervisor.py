@@ -1,33 +1,32 @@
 """Supervised fan-out over forked worker processes.
 
 This is the resilience layer between the api/pipeline and the raw process
-pool.  The original fan-out was a bare ``pool.map``: one OOM-killed
-child, one raising item or one runaway run aborted the whole sweep with no
-retry, no timeout and no partial result.  :func:`supervised_map` replaces it
-with a per-item future scheduler:
+pool.  :func:`supervised_map` runs every work item as its own future:
 
-* every work item is submitted **individually** (no chunking — one poisoned
-  item can never fail its neighbours), with the number of queued futures
-  bounded to at most 4× the worker count so dispatch overhead stays flat;
-* failed attempts retry with exponential backoff and deterministic jitter
-  (:class:`repro.execution.policy.RetryPolicy`), up to ``max_attempts``;
+* every item is submitted **individually** (no chunking — one poisoned item
+  can never fail its neighbours), with at most 4× the worker count queued;
 * a broken pool (a worker killed by the OOM reaper, a chaos ``os._exit``)
-  is respawned and its in-flight items re-leased;
+  is respawned; its in-flight tries count as failed;
 * per-item wall-clock timeouts are enforced by recycling the pool (the only
-  way to reclaim a stuck worker) and re-leasing the innocent in-flight items
-  without consuming one of their attempts;
+  way to reclaim a stuck worker); the innocent in-flight tries are refunded;
 * when pool breaks exceed ``max_pool_respawns``, execution degrades to an
   in-process serial loop so a sweep always makes progress.
 
+Which tries are charged and which failures re-pend or end an item is the
+rule of :class:`repro.execution.ledger.AttemptLedger`, which the lease
+registry follows too.  The supervisor keeps the scheduling: a ready-heap of
+backed-off items (:class:`repro.execution.policy.RetryPolicy`), deadlines and
+the pool.  Its :class:`repro.execution.report.ExecutionReport` gets the
+ledger's counters plus pool respawns and serial fallbacks.
+
 Work items are pure functions of spawned generators, so a retry replays the
 same stream and successful results are **bit-identical** however many faults
-were recovered along the way.  Every recovery action is counted in an
-:class:`repro.execution.report.ExecutionReport`.
+were recovered along the way.
 
-Like the original ``pool.map``, the pool path passes the callable and the
-items to workers through fork-inherited memory (no pickling of closures); the
-payload window is serialised by a lock so concurrent supervised runs cannot
-fork workers that inherit each other's payload.
+Like a bare ``pool.map``, the pool path passes the callable and the items to
+workers through fork-inherited memory (no pickling of closures); the payload
+window is serialised by a lock so concurrent supervised runs cannot fork
+workers that inherit each other's payload.
 """
 
 from __future__ import annotations
@@ -44,17 +43,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.execution.chaos import ChaosMonkey
+from repro.execution.ledger import STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT, AttemptLedger
 from repro.execution.policy import DEFAULT_POLICY, RetryPolicy
 from repro.execution.report import ExecutionReport
-
-#: Item outcome statuses.
-STATUS_OK = "ok"
-STATUS_FAILED = "failed"
-STATUS_TIMEOUT = "timeout"
-STATUS_ABORTED = "aborted"
-
-#: Statuses that mean "no payload was produced".
-FAILURE_STATUSES = (STATUS_FAILED, STATUS_TIMEOUT, STATUS_ABORTED)
 
 
 class ItemFailedError(RuntimeError):
@@ -65,17 +56,14 @@ class ItemTimeoutError(ItemFailedError):
     """A supervised item exceeded its wall-clock timeout on every attempt."""
 
 
-class MaxFailuresExceeded(RuntimeError):
-    """More items failed than the configured failure budget tolerates."""
-
-    def __init__(self, message: str, outcomes: Sequence["ItemOutcome"] = ()):
-        super().__init__(message)
-        self.outcomes = list(outcomes)
-
-
 def fork_available() -> bool:
     """True when the ``fork`` start method exists on this platform."""
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _in_worker_process() -> bool:
+    """True when running inside a spawned/forked child process."""
+    return multiprocessing.parent_process() is not None
 
 
 @dataclass(frozen=True)
@@ -102,23 +90,22 @@ _PAYLOAD: Optional[Tuple[Callable, Sequence, Optional[ChaosMonkey]]] = None
 _PAYLOAD_LOCK = threading.Lock()
 
 
-def _supervised_call(index: int, attempt: int):
-    """Run item ``index`` in a worker, injecting this attempt's chaos first."""
-    fn, items, chaos = _PAYLOAD
+def _call(fn: Callable, items: Sequence, chaos: Optional[ChaosMonkey],
+          index: int, attempt: int):
+    """Run item ``index``, injecting this attempt's chaos first.
+
+    A chaos kill exits only a worker process; in the supervising process it
+    is raised instead.
+    """
     if chaos is not None:
-        chaos.maybe_inject(index, attempt)
+        chaos.maybe_inject(index, attempt, kill_exits_process=_in_worker_process())
     return fn(items[index])
 
 
-class _ItemState:
-    """Mutable per-item bookkeeping while a supervised run is in progress."""
-
-    __slots__ = ("index", "attempts", "outcome")
-
-    def __init__(self, index: int):
-        self.index = index
-        self.attempts = 0
-        self.outcome: Optional[ItemOutcome] = None
+def _supervised_call(index: int, attempt: int):
+    """Run item ``index`` in a forked worker from the inherited payload."""
+    fn, items, chaos = _PAYLOAD
+    return _call(fn, items, chaos, index, attempt)
 
 
 def _describe(exc: BaseException) -> str:
@@ -128,56 +115,32 @@ def _describe(exc: BaseException) -> str:
 def _serial_run(
     fn: Callable,
     items: Sequence,
-    states: List[_ItemState],
+    ledger: AttemptLedger,
     policy: RetryPolicy,
     chaos: Optional[ChaosMonkey],
-    report: ExecutionReport,
-    max_failures: Optional[int],
-    failures: int = 0,
+    last: Dict[int, Any],
 ) -> None:
-    """Run every unfinished item in-process, honouring retry and chaos.
+    """Run every open item in-process until the ledger ends it.
 
-    Continues existing attempt counts (the pool path hands over here when it
-    degrades), so an item's total attempts stay bounded by ``max_attempts``.
+    Continues the ledger's attempt counts (the pool path hands over here when
+    it degrades).  ``last`` receives each item's latest value or exception.
     Wall-clock timeouts cannot preempt an in-process item and are not
     enforced on this path.
     """
-    for state in states:
-        if state.outcome is not None:
-            continue
-        while state.outcome is None:
-            state.attempts += 1
+    for index in range(len(items)):
+        while ledger.is_open(index):
+            attempt = ledger.charge(index)
             try:
-                if chaos is not None:
-                    # In-process, a chaos kill degrades to ChaosKill (raise).
-                    chaos.maybe_inject(state.index, state.attempts)
-                value = fn(items[state.index])
+                last[index] = _call(fn, items, chaos, index, attempt)
             except Exception as exc:
-                if state.attempts >= policy.max_attempts:
-                    state.outcome = ItemOutcome(
-                        state.index, STATUS_FAILED, error=_describe(exc),
-                        attempts=state.attempts, exception=exc,
-                    )
-                    failures += 1
-                else:
-                    report.retries += 1
-                    time.sleep(policy.backoff_delay(state.index, state.attempts + 1))
+                last[index] = exc
+                if ledger.fail(index, _describe(exc)):
+                    time.sleep(policy.backoff_delay(index, attempt + 1))
             else:
-                state.outcome = ItemOutcome(
-                    state.index, STATUS_OK, value=value, attempts=state.attempts
-                )
-        if max_failures is not None and failures > max_failures:
-            _abort_remaining(states, failures, max_failures)
+                ledger.complete(index)
+        if ledger.over_failure_budget:
+            ledger.abort()
             return
-
-
-def _abort_remaining(states: List[_ItemState], failures: int, max_failures: int) -> None:
-    message = f"aborted after {failures} failures (max_failures={max_failures})"
-    for state in states:
-        if state.outcome is None:
-            state.outcome = ItemOutcome(
-                state.index, STATUS_ABORTED, error=message, attempts=state.attempts
-            )
 
 
 class _PoolSupervisor:
@@ -191,7 +154,8 @@ class _PoolSupervisor:
         policy: RetryPolicy,
         chaos: Optional[ChaosMonkey],
         report: ExecutionReport,
-        max_failures: Optional[int],
+        ledger: AttemptLedger,
+        last: Dict[int, Any],
     ):
         self.fn = fn
         self.items = items
@@ -199,16 +163,14 @@ class _PoolSupervisor:
         self.policy = policy
         self.chaos = chaos
         self.report = report
-        self.max_failures = max_failures
-        self.states = [_ItemState(index) for index in range(len(items))]
+        self.ledger = ledger
+        self.last = last
         #: (ready_at, index) heap of items awaiting (re)submission.
         self.ready: List[Tuple[float, int]] = [(0.0, index) for index in range(len(items))]
         heapq.heapify(self.ready)
         #: future -> (index, deadline) for submitted attempts.
         self.inflight: Dict[Any, Tuple[int, float]] = {}
-        self.failures = 0
         self.breaks = 0
-        self.aborted = False
         self.degraded = False
 
     # -- pool lifecycle ----------------------------------------------------
@@ -253,77 +215,59 @@ class _PoolSupervisor:
             if ready_at > now:
                 break
             heapq.heappop(self.ready)
-            state = self.states[index]
-            state.attempts += 1
+            attempt = self.ledger.charge(index)
             try:
-                future = pool.submit(_supervised_call, index, state.attempts)
+                future = pool.submit(_supervised_call, index, attempt)
             except (BrokenProcessPool, RuntimeError):
                 # Pool already broke; undo and let the break handler re-lease.
-                state.attempts -= 1
+                self.ledger.refund(index)
                 heapq.heappush(self.ready, (ready_at, index))
                 return True
             deadline = now + self.policy.timeout if self.policy.timeout else math.inf
             self.inflight[future] = (index, deadline)
         return False
 
-    def _retry_or_fail(
-        self,
-        state: _ItemState,
-        error: str,
-        exception: Optional[BaseException] = None,
-        timeout: bool = False,
-    ) -> None:
-        if state.attempts >= self.policy.max_attempts:
-            status = STATUS_TIMEOUT if timeout else STATUS_FAILED
-            state.outcome = ItemOutcome(
-                state.index, status, error=error,
-                attempts=state.attempts, exception=exception,
-            )
-            self.failures += 1
-            if self.max_failures is not None and self.failures > self.max_failures:
-                self.aborted = True
-        else:
-            self.report.retries += 1
+    def _fail(self, index: int, error: str, exception: Optional[BaseException] = None,
+              timeout: bool = False) -> None:
+        """Fail one try; a re-pended item backs off before its next one."""
+        self.last[index] = exception
+        if self.ledger.fail(index, error, timeout=timeout):
             ready_at = time.monotonic() + self.policy.backoff_delay(
-                state.index, state.attempts + 1
+                index, self.ledger.attempts[index] + 1
             )
-            heapq.heappush(self.ready, (ready_at, state.index))
+            heapq.heappush(self.ready, (ready_at, index))
 
     def _consume(self, done) -> bool:
         """Record completed futures; True when the pool broke underneath."""
         broke = False
         for future in done:
             index, _deadline = self.inflight.pop(future)
-            state = self.states[index]
             try:
                 value = future.result()
             except BrokenProcessPool:
                 broke = True
-                self._retry_or_fail(state, "worker process died (process pool broken)")
+                self._fail(index, "worker process died (process pool broken)")
             except Exception as exc:
-                self._retry_or_fail(state, _describe(exc), exception=exc)
+                self._fail(index, _describe(exc), exception=exc)
             else:
-                state.outcome = ItemOutcome(
-                    index, STATUS_OK, value=value, attempts=state.attempts
-                )
+                self.last[index] = value
+                self.ledger.complete(index)
         return broke
 
     def _handle_break(self, pool) -> Optional[ProcessPoolExecutor]:
         """Respawn after an unexpected pool break, re-leasing in-flight items.
 
-        Which worker died cannot be observed, so every in-flight attempt is
-        charged as used — chaos decisions advance and a deterministic killer
-        cannot livelock the supervisor.
+        Which worker died cannot be observed, so every in-flight try counts
+        as failed — chaos decisions advance and a deterministic killer cannot
+        livelock the supervisor.
         """
         self.report.pool_respawns += 1
         self.breaks += 1
-        for future, (index, _deadline) in list(self.inflight.items()):
-            self._retry_or_fail(
-                self.states[index], "worker process died (process pool broken)"
-            )
+        for index, _deadline in self.inflight.values():
+            self._fail(index, "worker process died (process pool broken)")
         self.inflight.clear()
         self._shutdown(pool, force=True)
-        if self.aborted:
+        if self.ledger.over_failure_budget:
             return None
         if self.breaks > self.policy.max_pool_respawns:
             self.degraded = True
@@ -342,24 +286,20 @@ class _PoolSupervisor:
         ]
         if not expired:
             return pool
-        self.report.timeouts += len(expired)
         for future, index in expired:
             del self.inflight[future]
-            self._retry_or_fail(
-                self.states[index],
-                f"attempt timed out after {self.policy.timeout:g}s",
-                timeout=True,
-            )
+            self._fail(index, f"attempt timed out after {self.policy.timeout:g}s",
+                       timeout=True)
         # The stuck workers can only be reclaimed by recycling the pool.
-        # Innocent in-flight attempts are re-leased without consuming an
-        # attempt: the supervisor interrupted them, they did not fail.
-        for future, (index, _deadline) in list(self.inflight.items()):
-            self.states[index].attempts -= 1
+        # Innocent in-flight tries are refunded: the supervisor interrupted
+        # them, they did not fail.
+        for index, _deadline in self.inflight.values():
+            self.ledger.refund(index)
             heapq.heappush(self.ready, (time.monotonic(), index))
         self.inflight.clear()
         self.report.pool_respawns += 1
         self._shutdown(pool, force=True)
-        if self.aborted:
+        if self.ledger.over_failure_budget:
             return None
         return self._new_pool()
 
@@ -373,12 +313,9 @@ class _PoolSupervisor:
             return None
         return max(0.0, next_event - time.monotonic()) + 0.005
 
-    def _unfinished(self) -> bool:
-        return any(state.outcome is None for state in self.states)
-
     # -- the supervision loop ----------------------------------------------
 
-    def run(self) -> List[ItemOutcome]:
+    def run(self) -> None:
         global _PAYLOAD
         with _PAYLOAD_LOCK:
             _PAYLOAD = (self.fn, self.items, self.chaos)
@@ -386,14 +323,13 @@ class _PoolSupervisor:
                 self._loop()
             finally:
                 _PAYLOAD = None
-        if self.aborted:
-            _abort_remaining(self.states, self.failures, self.max_failures)
-        return [state.outcome for state in self.states]
+        if self.ledger.over_failure_budget:
+            self.ledger.abort()
 
     def _loop(self) -> None:
         pool: Optional[ProcessPoolExecutor] = self._new_pool()
         try:
-            while self._unfinished() and not self.aborted:
+            while self.ledger.open and not self.ledger.over_failure_budget:
                 if self.degraded or pool is None:
                     break
                 if self._submit_ready(pool):
@@ -416,14 +352,11 @@ class _PoolSupervisor:
                     continue
                 pool = self._enforce_deadlines(pool)
         finally:
-            self._shutdown(pool, force=self.aborted or bool(self.inflight))
-        if self.degraded and self._unfinished() and not self.aborted:
+            self._shutdown(pool, force=self.ledger.over_failure_budget or bool(self.inflight))
+        if self.degraded and self.ledger.open and not self.ledger.over_failure_budget:
             # Last resort: finish the remaining items in-process.
             self.report.serial_fallbacks += 1
-            _serial_run(
-                self.fn, self.items, self.states, self.policy, self.chaos,
-                self.report, self.max_failures, failures=self.failures,
-            )
+            _serial_run(self.fn, self.items, self.ledger, self.policy, self.chaos, self.last)
 
 
 def supervised_map(
@@ -449,18 +382,26 @@ def supervised_map(
     report = ExecutionReport() if report is None else report
     if not items:
         return []
-    report.items += len(items)
-    if workers > 1 and len(items) > 1 and fork_available():
-        outcomes = _PoolSupervisor(
-            fn, items, workers, policy, chaos, report, max_failures
-        ).run()
-    else:
-        states = [_ItemState(index) for index in range(len(items))]
-        _serial_run(fn, items, states, policy, chaos, report, max_failures)
-        outcomes = [state.outcome for state in states]
-    report.succeeded += sum(1 for outcome in outcomes if outcome.ok)
-    report.failures += sum(1 for outcome in outcomes if not outcome.ok)
-    return outcomes
+    ledger = AttemptLedger(policy.max_attempts, len(items), max_failures)
+    #: Each item's latest value (ok) or exception (failed try; None if none).
+    last: Dict[int, Any] = {}
+    try:
+        if workers > 1 and len(items) > 1 and fork_available():
+            _PoolSupervisor(fn, items, workers, policy, chaos, report, ledger, last).run()
+        else:
+            _serial_run(fn, items, ledger, policy, chaos, last)
+    finally:
+        report.merge(ledger.report())
+    return [
+        ItemOutcome(
+            index, status,
+            value=last.get(index) if status == STATUS_OK else None,
+            error=ledger.errors[index],
+            attempts=ledger.attempts[index],
+            exception=last.get(index) if status in (STATUS_FAILED, STATUS_TIMEOUT) else None,
+        )
+        for index, status in enumerate(ledger.states)
+    ]
 
 
 def raise_first_failure(outcomes: Sequence[ItemOutcome]) -> None:
@@ -483,15 +424,9 @@ def raise_first_failure(outcomes: Sequence[ItemOutcome]) -> None:
 
 
 __all__ = [
-    "FAILURE_STATUSES",
     "ItemFailedError",
     "ItemOutcome",
     "ItemTimeoutError",
-    "MaxFailuresExceeded",
-    "STATUS_ABORTED",
-    "STATUS_FAILED",
-    "STATUS_OK",
-    "STATUS_TIMEOUT",
     "fork_available",
     "raise_first_failure",
     "supervised_map",

@@ -35,7 +35,8 @@ from repro.scenarios.pipeline import (
     default_cache_dir,
     failed_points,
 )
-from repro.scenarios.scenario import Scenario, ScenarioPoint, measurement_version, scenario_seed
+from repro.scenarios.scenario import (Scenario, ScenarioPoint, measurement_version,
+                                     parse_scenarios, scenario_seed)
 from repro._lazy import lazy_exports
 
 # The measurement functions are compute; they import on first use.
@@ -58,6 +59,7 @@ __all__ = [
     "measure_point",
     "measurement_kinds",
     "measurement_version",
+    "parse_scenarios",
     "network_families",
     "register_measurement",
     "register_network",

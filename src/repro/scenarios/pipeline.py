@@ -34,7 +34,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.api.sinks import NullSink, ResultSink
 from repro.execution.chaos import ChaosMonkey, chaos_from_env
@@ -42,9 +42,6 @@ from repro.execution.policy import DEFAULT_POLICY, RetryPolicy
 from repro.execution.report import ExecutionReport
 from repro.scenarios.scenario import Scenario, ScenarioPoint
 from repro.utils.validation import require
-
-if TYPE_CHECKING:
-    from repro.execution.supervisor import ItemOutcome
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -78,6 +75,14 @@ class PointResult:
     status: str = "ok"
     error: Optional[str] = None
     attempts: int = 0
+
+    @classmethod
+    def of(cls, point: ScenarioPoint, key: str, payload: Optional[Dict[str, Any]],
+           cached: bool = False, **outcome: Any) -> "PointResult":
+        """The result of ``point`` (stored under ``key``); ``outcome`` sets
+        ``status``, ``error`` and ``attempts``."""
+        return cls(scenario=point.scenario, value=point.value, index=point.index,
+                   key=key, payload=payload, cached=cached, **outcome)
 
     @property
     def label(self) -> str:
@@ -173,84 +178,71 @@ class ExperimentPipeline:
         ]
         keys = [point.cache_key() for point in points]
 
-        payloads: List[Optional[Dict[str, Any]]] = [None] * len(points)
-        cached_mask = [False] * len(points)
-        statuses = ["ok"] * len(points)
-        errors: List[Optional[str]] = [None] * len(points)
-        attempts = [0] * len(points)
+        results: List[Optional[PointResult]] = [None] * len(points)
         missing: List[int] = []
         corruption_before = getattr(self.sink, "corruption_detected", 0)
         for position, (point, key) in enumerate(zip(points, keys)):
             cached = self._load_cached(point, key)
-            if cached is not None:
-                payloads[position] = cached
-                cached_mask[position] = True
-            else:
+            if cached is None:
                 missing.append(position)
-        self.report.cache_hits += sum(cached_mask)
+            else:
+                results[position] = PointResult.of(point, key, cached, cached=True)
+        self.report.cache_hits += len(points) - len(missing)
         self.report.cache_corruption += (
             getattr(self.sink, "corruption_detected", 0) - corruption_before
         )
-
         if missing:
-            outcomes = self._compute([points[i] for i in missing], observer=observer)
-            for position, outcome in zip(missing, outcomes):
-                statuses[position] = outcome.status
-                attempts[position] = outcome.attempts
-                if outcome.ok:
-                    payload = _normalise(outcome.value)
-                    payloads[position] = payload
-                    # Only successful payloads are ever cached.
-                    self._store(points[position], keys[position], payload)
-                    if self.chaos is not None:
-                        self.chaos.maybe_corrupt(self.sink, keys[position])
-                else:
-                    errors[position] = outcome.error
-            if not self.keep_going:
-                from repro.execution.supervisor import raise_first_failure
-
-                # Surviving points were already cached; re-raise the first
-                # failure's original exception (historical strict contract).
-                raise_first_failure(outcomes)
-
-        return [
-            PointResult(
-                scenario=point.scenario,
-                value=point.value,
-                index=point.index,
-                key=key,
-                payload=payload,
-                cached=cached,
-                status=status,
-                error=error,
-                attempts=count,
-            )
-            for point, key, payload, cached, status, error, count in zip(
-                points, keys, payloads, cached_mask, statuses, errors, attempts
-            )
-        ]
+            computed = self._compute(points, keys, missing, observer=observer)
+            for position, result in zip(missing, computed):
+                results[position] = result
+        return results
 
     def _compute(
-        self, points: Sequence[ScenarioPoint], observer=None
-    ) -> List["ItemOutcome"]:
-        """Measure ``points`` under supervision (parallel when ``jobs > 1``).
+        self,
+        points: Sequence[ScenarioPoint],
+        keys: Sequence[str],
+        missing: Sequence[int],
+        observer=None,
+    ) -> List[PointResult]:
+        """Measure the ``missing`` points under supervision and store them.
 
-        Imports the compute layer here, in the parent, so forked workers
-        inherit it instead of each importing it.
+        ``missing`` are positions in ``points``/``keys``; returns their
+        results in that order.  Runs in parallel when ``jobs > 1``.  Imports
+        the compute layer here, in the parent, so forked workers inherit it
+        instead of each importing it.
         """
-        from repro.execution.supervisor import supervised_map
+        from repro.execution.supervisor import raise_first_failure, supervised_map
         from repro.scenarios.measurements import measure_point
 
         fn = measure_point if observer is None else partial(measure_point, observer=observer)
-        return supervised_map(
+        outcomes = supervised_map(
             fn,
-            points,
+            [points[position] for position in missing],
             workers=self.jobs,
             policy=self.policy,
             chaos=self.chaos,
             report=self.report,
             max_failures=self.max_failures if self.keep_going else None,
         )
+        results = []
+        for position, outcome in zip(missing, outcomes):
+            point, key = points[position], keys[position]
+            payload = None
+            if outcome.ok:
+                payload = _normalise(outcome.value)
+                # Only successful payloads are ever cached.
+                self._store(point, key, payload)
+                if self.chaos is not None:
+                    self.chaos.maybe_corrupt(self.sink, key)
+            results.append(PointResult.of(
+                point, key, payload, status=outcome.status, error=outcome.error,
+                attempts=outcome.attempts,
+            ))
+        if not self.keep_going:
+            # Surviving points were already cached; re-raise the first
+            # failure's original exception (historical strict contract).
+            raise_first_failure(outcomes)
+        return results
 
 
 def _normalise(payload: Dict[str, Any]) -> Dict[str, Any]:

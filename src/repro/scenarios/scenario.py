@@ -324,6 +324,34 @@ class ScenarioPoint:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def parse_scenarios(document: Any) -> List[Scenario]:
+    """Parse a scenario document into scenarios.
+
+    Accepts a single scenario object, a list of scenario objects, or a
+    ``{"scenarios": [...]}`` wrapper document.  Raises ``ValueError`` (with a
+    message fit for a user) on anything else, including an empty batch.
+    """
+    if isinstance(document, dict) and "scenarios" in document:
+        raw_scenarios = document["scenarios"]
+    elif isinstance(document, dict):
+        raw_scenarios = [document]
+    else:
+        raw_scenarios = document
+    if not isinstance(raw_scenarios, list) or \
+            not all(isinstance(raw, dict) for raw in raw_scenarios):
+        raise ValueError(
+            "expected a scenario object, a list of scenarios, "
+            'or a {"scenarios": [...]} document'
+        )
+    try:
+        scenarios = [Scenario.from_dict(raw) for raw in raw_scenarios]
+    except (TypeError, ValueError, KeyError) as error:
+        raise ValueError(f"invalid scenario: {error}") from error
+    if not scenarios:
+        raise ValueError("no scenarios in the document")
+    return scenarios
+
+
 __all__ = [
     "ALGORITHMS",
     "ENGINES",
@@ -333,5 +361,6 @@ __all__ = [
     "ScenarioPoint",
     "VARIANTS",
     "measurement_version",
+    "parse_scenarios",
     "scenario_seed",
 ]

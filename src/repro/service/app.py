@@ -1,14 +1,15 @@
 """The experiment service core: queue, worker pool, execution, accounting.
 
 :class:`ExperimentService` is the transport-independent heart of ``repro
-serve``.  It accepts Scenario batches (:func:`parse_scenarios` mirrors the
-CLI's accepted JSON shapes), queues them, and executes each run on a small
-pool of worker threads through the existing
+serve``.  It accepts Scenario batches (:func:`parse_scenarios`, the parser
+``repro scenarios run`` uses too), queues them, and executes each run on a
+small pool of worker threads through
 :class:`repro.scenarios.ExperimentPipeline` — so queued runs get the same
 supervised retry/timeout/chaos semantics, artifact caching and
 :class:`repro.execution.ExecutionReport` accounting as ``repro scenarios
 run``.  Runs execute with ``keep_going`` semantics by default: failed points
-are recorded, not fatal.
+are recorded, not fatal.  In coordinator mode the run takes the same path;
+only its compute step hands the missing points to the worker fleet.
 
 While a run executes, a :class:`repro.api.StructuredObserver` forwards every
 engine hook into the run's :class:`repro.service.events.EventStream`, where
@@ -24,17 +25,17 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.api.observers import StructuredObserver
 from repro.api.sinks import MemorySink, ResultSink, payload_checksum
-from repro.checks import evaluate_checks
+from repro.checks import scenario_check_reports
 from repro.execution.chaos import ChaosMonkey
 from repro.execution.policy import RetryPolicy
 from repro.execution.report import ExecutionReport
-from repro.scenarios.pipeline import ExperimentPipeline, PointResult, _normalise
-from repro.scenarios.scenario import Scenario
+from repro.scenarios.pipeline import ExperimentPipeline, PointResult
+from repro.scenarios.scenario import Scenario, ScenarioPoint, parse_scenarios
 from repro.service.events import DEFAULT_MAX_EVENTS, EventStream
 from repro.service.leases import (
     DEFAULT_LEASE_ATTEMPTS,
@@ -55,33 +56,6 @@ class ServiceClosed(RuntimeError):
     """Raised when a run is submitted to a service that is shutting down."""
 
 
-def parse_scenarios(document: Any) -> List[Scenario]:
-    """Parse a request body into scenarios (the CLI's accepted JSON shapes).
-
-    Accepts a single scenario object, a list of scenario objects, or a
-    ``{"scenarios": [...]}`` wrapper document.  Raises ``ValueError`` (with a
-    client-presentable message) on anything else, including an empty batch.
-    """
-    if isinstance(document, dict) and "scenarios" in document:
-        raw_scenarios = document["scenarios"]
-    elif isinstance(document, dict):
-        raw_scenarios = [document]
-    else:
-        raw_scenarios = document
-    if not isinstance(raw_scenarios, list):
-        raise ValueError(
-            "expected a scenario object, a list of scenarios, "
-            'or a {"scenarios": [...]} document'
-        )
-    try:
-        scenarios = [Scenario.from_dict(raw) for raw in raw_scenarios]
-    except (TypeError, ValueError, KeyError) as error:
-        raise ValueError(f"invalid scenario: {error}") from error
-    if not scenarios:
-        raise ValueError("no scenarios in request")
-    return scenarios
-
-
 @dataclass
 class ServiceConfig:
     """Tunables for an :class:`ExperimentService`.
@@ -95,12 +69,15 @@ class ServiceConfig:
     in-process :class:`repro.api.MemorySink` when ``None``); pass
     ``LocalDirSink(directory)`` to keep artifacts on disk.
 
-    ``coordinator=True`` switches run execution to the distributed mode: the
-    service computes nothing itself, it exposes each submitted run's missing
-    points as TTL-bounded leases (:mod:`repro.service.leases`) for external
-    ``repro worker`` processes, and assembles results from the shared sink.
+    ``coordinator=True`` hands the computing to external ``repro worker``
+    processes.  A run still goes through the pipeline (cache lookups, result
+    assembly, execution accounting); only its missing points are published
+    as TTL-bounded leases (:mod:`repro.service.leases`), and their payloads
+    are read back from the shared sink the workers store them in.
     ``lease_ttl`` / ``lease_attempts`` bound each point's wall-clock grant
-    and total attempt budget.
+    and total attempt budget; ``jobs``, ``policy``, ``chaos``, ``keep_going``
+    and ``max_failures`` apply to local runs only (a coordinated run always
+    finishes around failed points).
     """
 
     workers: int = 2
@@ -114,11 +91,6 @@ class ServiceConfig:
     coordinator: bool = False
     lease_ttl: float = DEFAULT_LEASE_TTL
     lease_attempts: int = DEFAULT_LEASE_ATTEMPTS
-
-
-@dataclass
-class _QueueItem:
-    record: RunRecord = field(repr=False)
 
 
 class ExperimentService:
@@ -148,7 +120,7 @@ class ExperimentService:
             )
         self.registry = RunRegistry()
         self.metrics = ServiceMetrics()
-        self._queue: "queue.Queue[Optional[_QueueItem]]" = queue.Queue()
+        self._queue: "queue.Queue[Optional[RunRecord]]" = queue.Queue()
         self._closed = False
         self._abort = False
         self._lock = threading.Lock()
@@ -182,7 +154,7 @@ class ExperimentService:
             record = self.registry.create(scenarios, stream)
             self.metrics.increment("runs_submitted")
             self._emit(record, {"kind": "state", "run": record.id, "state": "queued"})
-            self._queue.put(_QueueItem(record))
+            self._queue.put(record)
             return record
 
     def queue_depth(self) -> int:
@@ -205,27 +177,17 @@ class ExperimentService:
 
     def _worker_loop(self) -> None:
         while True:
-            item = self._queue.get()
+            record = self._queue.get()
             try:
-                if item is None:
+                if record is None:
                     return
                 if self._abort:
-                    self._finish_aborted(item.record)
+                    self._finish(record, "aborted: service shutdown before execution")
                 else:
-                    self._execute(item.record)
+                    self._execute(record)
                 self._close_leases_if_drained()
             finally:
                 self._queue.task_done()
-
-    def _finish_aborted(self, record: RunRecord) -> None:
-        error = "aborted: service shutdown before execution"
-        record.mark_failed(error)
-        self.metrics.increment("runs_failed")
-        self._emit(
-            record,
-            {"kind": "state", "run": record.id, "state": "failed", "error": error},
-        )
-        record.stream.close()
 
     def _execute(self, record: RunRecord) -> None:
         record.mark_running()
@@ -234,9 +196,7 @@ class ExperimentService:
         error: Optional[str] = None
         result: Optional[Dict[str, Any]] = None
         try:
-            if self.leases is not None:
-                results = self._run_coordinated(record, report)
-            else:
+            if self.leases is None:
                 pipeline = ExperimentPipeline(
                     jobs=self.config.jobs,
                     sink=self.sink,
@@ -245,12 +205,11 @@ class ExperimentService:
                     policy=self.config.policy,
                     chaos=self.config.chaos,
                 )
-                observer = StructuredObserver(lambda event: self._emit(record, event))
-                try:
-                    results = pipeline.run(record.scenarios, observer=observer)
-                finally:
-                    # Partial counters still count when the run raises.
-                    report.merge(pipeline.report)
+            else:
+                pipeline = _FleetPipeline(self, record)
+            report = pipeline.report  # partial counters count when the run raises
+            observer = StructuredObserver(lambda event: self._emit(record, event))
+            results = pipeline.run(record.scenarios, observer=observer)
             result = self._result_document(record, results, report)
             if not result["all_passed"]:
                 failed = [
@@ -265,14 +224,17 @@ class ExperimentService:
             error = f"{type(exc).__name__}: {exc}"
         finally:
             self.metrics.merge_execution(report)
+        self._finish(record, error, result)
+
+    def _finish(self, record: RunRecord, error: Optional[str],
+                result: Optional[Dict[str, Any]] = None) -> None:
+        """End a run: its state, counters and last events; then close its stream."""
         if error is None:
             record.mark_completed(result)
-            self.metrics.increment("runs_completed")
-            state = "completed"
         else:
             record.mark_failed(error, result)
-            self.metrics.increment("runs_failed")
-            state = "failed"
+        state = "completed" if error is None else "failed"
+        self.metrics.increment(f"runs_{state}")
         if result is not None:
             self._emit(record, {"kind": "result", "run": record.id, "result": result})
         self._emit(
@@ -280,94 +242,6 @@ class ExperimentService:
             {"kind": "state", "run": record.id, "state": state, "error": error},
         )
         record.stream.close()
-
-    def _run_coordinated(
-        self, record: RunRecord, report: ExecutionReport
-    ) -> List[PointResult]:
-        """Expose the run's missing points as leases and await the fleet.
-
-        The coordinator resolves cache hits itself (a fully cached run needs
-        no workers at all — that is the resume contract), enqueues every
-        missing point in the lease registry, then blocks until each task is
-        terminal — completed by some worker, failed on an exhausted attempt
-        budget, or aborted by shutdown.  Payloads are read back from the
-        shared sink, so the assembled results are bit-identical to what a
-        single-machine pipeline run would return.
-        """
-        points = [point for scenario in record.scenarios for point in scenario.points()]
-        entries = []  # (point, key, task | None, cached payload | None)
-        corruption_before = getattr(self.sink, "corruption_detected", 0)
-        for position, point in enumerate(points):
-            key = point.cache_key()
-            payload = self.sink.load(key, _normalise(point.spec()))
-            if payload is not None:
-                entries.append((point, key, None, payload))
-                continue
-            spec = {
-                "scenario": point.scenario.to_dict(),
-                "value": point.value,
-                "index": point.index,
-                # The point's position in the run: the chaos schedule index,
-                # so REPRO_CHAOS on workers replays like the local supervisor.
-                "chaos_index": position,
-            }
-            task = self.leases.add_point(record.id, spec, key)
-            entries.append((point, key, task, None))
-            self._emit(record, {
-                "kind": "lease", "run": record.id, "task": task.task_id,
-                "key": key, "state": "pending",
-            })
-        report.cache_hits += sum(1 for entry in entries if entry[2] is None)
-        report.cache_corruption += (
-            getattr(self.sink, "corruption_detected", 0) - corruption_before
-        )
-
-        while not self.leases.wait_run(record.id, timeout=0.5):
-            if self._abort:
-                self.leases.abort_open(record.id, error="aborted: service shutdown")
-
-        results: List[PointResult] = []
-        for point, key, task, payload in entries:
-            if task is None:
-                results.append(PointResult(
-                    scenario=point.scenario, value=point.value, index=point.index,
-                    key=key, payload=payload, cached=True,
-                ))
-                continue
-            report.items += 1
-            report.retries += max(0, task.attempts - 1)
-            report.timeouts += task.reclaims
-            if task.state == "completed":
-                payload = self.sink.load(key, _normalise(point.spec()))
-            if task.state == "completed" and payload is not None:
-                report.succeeded += 1
-                results.append(PointResult(
-                    scenario=point.scenario, value=point.value, index=point.index,
-                    key=key, payload=payload, cached=task.cached,
-                    attempts=task.attempts,
-                ))
-            else:
-                report.failures += 1
-                if task.state == "completed":
-                    status, error = "failed", (
-                        "worker reported completion but the artifact is "
-                        "missing from the shared sink"
-                    )
-                elif task.state == "aborted":
-                    status, error = "aborted", task.error
-                else:
-                    status, error = "failed", task.error
-                results.append(PointResult(
-                    scenario=point.scenario, value=point.value, index=point.index,
-                    key=key, payload=None, cached=False, status=status,
-                    error=error, attempts=task.attempts,
-                ))
-            self._emit(record, {
-                "kind": "lease", "run": record.id, "task": task.task_id,
-                "key": key, "state": task.state, "attempts": task.attempts,
-                "reclaims": task.reclaims, "worker": task.completed_by,
-            })
-        return results
 
     # -- artifacts (PUT /artifacts/{key}) -------------------------------------
 
@@ -429,24 +303,13 @@ class ExperimentService:
             }
             for point in results
         ]
-        checks: Dict[str, Any] = {}
-        checks_passed = True
-        for index, scenario in enumerate(record.scenarios):
-            if not scenario.checks:
-                continue
-            scenario_points = [p for p in results if p.scenario is scenario]
-            report = evaluate_checks(scenario.checks, scenario_points)
-            key = scenario.label
-            if key in checks:
-                key = f"{scenario.label} #{index}"
-            checks[key] = report.as_dict()
-            checks_passed = checks_passed and report.passed
+        check_reports = scenario_check_reports(record.scenarios, results)
         all_ok = all(point["status"] == "ok" for point in points)
         return {
             "run": record.id,
             "points": points,
-            "checks": checks,
-            "all_passed": all_ok and checks_passed,
+            "checks": {label: check.as_dict() for label, check in check_reports.items()},
+            "all_passed": all_ok and all(check.passed for check in check_reports.values()),
             "execution": report.as_dict(),
         }
 
@@ -498,6 +361,79 @@ class ExperimentService:
                 self._queue.put(None)
         for worker in self._workers:
             worker.join(timeout=timeout)
+
+
+class _FleetPipeline(ExperimentPipeline):
+    """A coordinated run's pipeline: the worker fleet computes missing points.
+
+    Its compute step publishes each missing point as a lease, blocks until
+    every one has ended — completed by some worker, failed on its attempt
+    budget, or aborted by shutdown — and reads the payloads back from the
+    shared sink, where the workers stored them.  The execution counters are
+    the run's lease ledger's.
+    """
+
+    def __init__(self, service: "ExperimentService", record: RunRecord):
+        super().__init__(sink=service.sink)
+        self.service = service
+        self.record = record
+
+    def _compute(
+        self,
+        points: Sequence[ScenarioPoint],
+        keys: Sequence[str],
+        missing: Sequence[int],
+        observer=None,
+    ) -> List[PointResult]:
+        service, record, leases = self.service, self.record, self.service.leases
+        tasks = []
+        for position in missing:
+            point = points[position]
+            spec = {
+                "scenario": point.scenario.to_dict(),
+                "value": point.value,
+                "index": point.index,
+                # The point's position in the run: the chaos schedule index,
+                # so REPRO_CHAOS on workers replays like the local supervisor.
+                "chaos_index": position,
+            }
+            task = leases.add_point(record.id, spec, keys[position])
+            tasks.append(task)
+            service._emit(record, {
+                "kind": "lease", "run": record.id, "task": task.task_id,
+                "key": task.key, "state": "pending",
+            })
+
+        while not leases.wait_run(record.id, timeout=0.5):
+            if service._abort:
+                leases.abort_open(record.id, error="aborted: service shutdown")
+        self.report.merge(leases.report(record.id))
+
+        results = []
+        for position, task in zip(missing, tasks):
+            point = points[position]
+            payload = None
+            status, error = task.state, task.error
+            if status == "completed":
+                payload = self._load_cached(point, task.key)
+                status = "ok"
+                if payload is None:  # the ledger counted a success
+                    status, error = "failed", (
+                        "worker reported completion but the artifact is "
+                        "missing from the shared sink"
+                    )
+                    self.report.succeeded -= 1
+                    self.report.failures += 1
+            results.append(PointResult.of(
+                point, task.key, payload, cached=status == "ok" and task.cached,
+                status=status, error=error, attempts=task.attempts,
+            ))
+            service._emit(record, {
+                "kind": "lease", "run": record.id, "task": task.task_id,
+                "key": task.key, "state": task.state, "attempts": task.attempts,
+                "reclaims": task.reclaims, "worker": task.completed_by,
+            })
+        return results
 
 
 __all__ = ["ExperimentService", "ServiceClosed", "ServiceConfig", "parse_scenarios"]

@@ -129,12 +129,8 @@ class RequestHandler(BaseHTTPRequestHandler):
     # -- response helpers ----------------------------------------------------
 
     def _send_json(self, status: int, document: Any) -> None:
-        body = dumps_strict(document, indent=2).encode("utf-8") + b"\n"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(status, dumps_strict(document, indent=2) + "\n",
+                        "application/json; charset=utf-8")
 
     def _send_json_raw(self, status: int, document: Any) -> None:
         """Python-extended JSON (``Infinity``/``NaN`` literals survive).
@@ -143,12 +139,8 @@ class RequestHandler(BaseHTTPRequestHandler):
         byte-compatible with what the sinks persist, parseable by any Python
         ``json.loads``.  Non-Python consumers should use the strict routes.
         """
-        body = json.dumps(document, allow_nan=True, indent=2).encode("utf-8") + b"\n"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(status, json.dumps(document, allow_nan=True, indent=2) + "\n",
+                        "application/json; charset=utf-8")
 
     def _send_text(self, status: int, body: str, content_type: str) -> None:
         data = body.encode("utf-8")
@@ -217,10 +209,9 @@ class RequestHandler(BaseHTTPRequestHandler):
                 else:
                     self._send_json(200, artifact)
             elif parts == ["leases"]:
-                if self.service.leases is None:
-                    self._send_error_json(409, "service is not in coordinator mode")
-                else:
-                    self._send_json(200, self.service.leases.as_dict())
+                registry = self._coordinator()
+                if registry is not None:
+                    self._send_json(200, registry.as_dict())
             else:
                 self._send_error_json(404, f"no such resource: {url.path}")
         except (BrokenPipeError, ConnectionResetError):

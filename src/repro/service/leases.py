@@ -1,26 +1,25 @@
-"""Point leases: the cross-machine shape of the supervisor's retry semantics.
+"""Point leases: the supervisor's retry rules, lifted across the wire.
 
 A coordinator-mode service does not execute scenario points itself; it hands
 them out as **leases** to remote workers (``repro worker``).  A lease is one
-attempt at one point, bounded by a wall-clock TTL — exactly the shape of
-:mod:`repro.execution.supervisor`'s per-item futures, lifted across the wire:
+attempt at one point, bounded by a wall-clock TTL.  Each coordinated run has
+one :class:`repro.execution.ledger.AttemptLedger`, the rule the local
+supervisor follows too, and it decides everything about attempts:
 
-* acquiring a lease charges an **attempt** (the supervisor's per-item attempt
-  counter), so a point whose attempts are exhausted goes terminal instead of
-  cycling forever;
-* a lease that outlives its TTL is **reclaimed**: the point returns to the
-  pending pool for re-issue (the supervisor's broken-pool re-lease), counted
-  as a timeout, *without* charging a second attempt for the same grant;
+* granting a lease charges an **attempt**; a failed lease re-pends its point
+  or, with the budget spent, ends it ``failed``;
+* a lease that outlives its TTL is **reclaimed**, which the ledger counts as
+  a timeout: the point re-pends *without* a second charge for the same
+  grant, or ends ``failed`` when that grant was its last;
 * a **stale** completion — the worker finished after its lease was reclaimed
-  — is accepted as a completion when the point is still open (artifact writes
-  are content-addressed and idempotent, so late results are never wrong) and
-  ignored once the point is terminal.
+  — is accepted while the point is open (artifact writes are
+  content-addressed and idempotent, so late results are never wrong) and
+  ignored once it is terminal; a stale failure is always ignored.
 
-Determinism note: lease *placement* carries no entropy.  Every point derives
-its payload purely from the scenario seed policy, so which worker computes a
-point — first grant, reclaimed re-issue, or stale overlap — cannot change a
-result byte.  The registry only decides *whether* and *how often* a point is
-attempted.
+The registry keeps the TTL clock, the wire ids of tasks, leases and workers,
+and the open tasks in grant order.  Lease *placement* carries no entropy:
+every payload is a pure function of the scenario seed policy, so which
+worker computes a point cannot change a result byte.
 
 All state transitions synchronise on one condition variable; the coordinator
 blocks in :meth:`LeaseRegistry.wait_run` while workers mutate tasks from HTTP
@@ -37,15 +36,21 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.execution.ledger import (PENDING, RUNNING, STATUS_ABORTED, STATUS_FAILED,
+                                    STATUS_OK, STATUS_TIMEOUT, AttemptLedger)
+from repro.execution.report import ExecutionReport
 from repro.utils.validation import require
 
-#: Task lifecycle states.  ``pending`` and ``leased`` are open; the rest are
-#: terminal at the task level (``completed`` may still be re-marked from a
-#: stale lease, which is a no-op).
-TASK_STATES = ("pending", "leased", "completed", "failed", "aborted")
-
-#: States in which a task will receive no further leases.
-TERMINAL_TASK_STATES = ("completed", "failed", "aborted")
+#: Ledger state → task state, as ``GET /leases`` shows it.  ``pending`` and
+#: ``leased`` are open; a reclaim that ends a point reads ``failed``.
+_TASK_STATE = {
+    PENDING: "pending",
+    RUNNING: "leased",
+    STATUS_OK: "completed",
+    STATUS_FAILED: "failed",
+    STATUS_TIMEOUT: "failed",
+    STATUS_ABORTED: "aborted",
+}
 
 #: Default seconds a lease may run before it is reclaimed.
 DEFAULT_LEASE_TTL = 60.0
@@ -62,16 +67,16 @@ class PointTask:
     (the scenario's ``to_dict()`` plus the point's sweep value and index);
     ``key`` is the point's content-addressed cache key, so workers and the
     coordinator agree on where the artifact lives without re-deriving it.
+    ``state``, ``attempts``, ``reclaims`` and ``error`` are read from item
+    ``item`` of the run's ``ledger``.
     """
 
     run_id: str
     task_id: str
     spec: Dict[str, Any]
     key: str
-    state: str = "pending"
-    attempts: int = 0
-    reclaims: int = 0
-    error: Optional[str] = None
+    ledger: AttemptLedger = field(repr=False)
+    item: int
     worker: Optional[str] = None
     lease_id: Optional[str] = None
     lease_expires: Optional[float] = None
@@ -79,8 +84,24 @@ class PointTask:
     cached: bool = False
 
     @property
+    def state(self) -> str:
+        return _TASK_STATE[self.ledger.states[self.item]]
+
+    @property
+    def attempts(self) -> int:
+        return self.ledger.attempts[self.item]
+
+    @property
+    def reclaims(self) -> int:
+        return self.ledger.timeouts[self.item]
+
+    @property
+    def error(self) -> Optional[str]:
+        return self.ledger.errors[self.item]
+
+    @property
     def open(self) -> bool:
-        return self.state not in TERMINAL_TASK_STATES
+        return self.ledger.is_open(self.item)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready task status (the ``GET /leases`` listing entry)."""
@@ -150,18 +171,17 @@ class LeaseRegistry:
         self._clock = clock
         self._cond = threading.Condition()
         # Every task ever added, in submission order (the ``GET /leases``
-        # listing), and the open ones alone: grants, expiry sweeps and run
-        # waits scan only ``_open``, so their cost does not grow with the
+        # listing), and the open ones alone: grants, expiry sweeps and
+        # aborts scan only ``_open``, so their cost does not grow with the
         # number of points the coordinator has already finished.
         self._tasks: Dict[str, PointTask] = {}
         self._open: Dict[str, PointTask] = {}
+        #: One attempt ledger per run.
+        self._ledgers: Dict[str, AttemptLedger] = {}
         self._workers: Dict[str, Dict[str, Any]] = {}
         # Every lease ever granted, so stale reports (reclaimed leases)
         # still resolve to their task.  Bounded by points × max_attempts.
         self._leases: Dict[str, PointTask] = {}
-        self._task_counter = 0
-        self._lease_counter = 0
-        self._worker_counter = 0
         #: Reclamations performed (expired leases returned to the pool).
         self.reclaimed = 0
         self._closed = False
@@ -171,26 +191,27 @@ class LeaseRegistry:
     def add_point(self, run_id: str, spec: Dict[str, Any], key: str) -> PointTask:
         """Enqueue one leaseable point for ``run_id``; returns its task."""
         with self._cond:
-            self._task_counter += 1
+            ledger = self._ledgers.get(run_id)
+            if ledger is None:
+                ledger = self._ledgers[run_id] = AttemptLedger(self.max_attempts)
             task = PointTask(
                 run_id=run_id,
-                task_id=f"task-{self._task_counter:06d}",
+                task_id=f"task-{len(self._tasks) + 1:06d}",
                 spec=spec,
                 key=key,
+                ledger=ledger,
+                item=ledger.add(),
             )
             self._tasks[task.task_id] = task
             self._open[task.task_id] = task
             self._cond.notify_all()
             return task
 
-    def run_tasks(self, run_id: str) -> List[PointTask]:
-        """The run's tasks, in submission (= scenario point) order."""
+    def report(self, run_id: str) -> ExecutionReport:
+        """The run's item, outcome, retry and timeout counters (its ledger's)."""
         with self._cond:
-            return [task for task in self._tasks.values() if task.run_id == run_id]
-
-    def run_finished(self, run_id: str) -> bool:
-        with self._cond:
-            return not self._run_open_locked(run_id)
+            ledger = self._ledgers.get(run_id)
+            return ExecutionReport() if ledger is None else ledger.report()
 
     def wait_run(self, run_id: str, timeout: Optional[float] = None,
                  poll: float = 0.25) -> bool:
@@ -204,7 +225,8 @@ class LeaseRegistry:
         with self._cond:
             while True:
                 self._reclaim_expired_locked()
-                if not self._run_open_locked(run_id):
+                ledger = self._ledgers.get(run_id)
+                if ledger is None or not ledger.open:
                     return True
                 if deadline is not None and self._clock() >= deadline:
                     return False
@@ -216,13 +238,12 @@ class LeaseRegistry:
     def abort_open(self, run_id: Optional[str] = None, error: str = "aborted") -> int:
         """Force every open task (of ``run_id``, or all runs) terminal."""
         with self._cond:
-            aborted = 0
-            for task in list(self._open.values()):
-                if run_id is None or task.run_id == run_id:
-                    self._finish_locked(task, "aborted")
-                    task.error = error
-                    aborted += 1
+            ledgers = {task.ledger for task in self._open.values()
+                       if run_id is None or task.run_id == run_id}
+            aborted = sum(len(ledger.abort(error)) for ledger in ledgers)
             if aborted:
+                self._open = {task_id: task for task_id, task in self._open.items()
+                              if task.open}
                 self._cond.notify_all()
             return aborted
 
@@ -231,8 +252,7 @@ class LeaseRegistry:
     def register_worker(self, name: Optional[str] = None) -> str:
         """Register a worker; returns its stable id."""
         with self._cond:
-            self._worker_counter += 1
-            worker_id = f"worker-{self._worker_counter:06d}"
+            worker_id = f"worker-{len(self._workers) + 1:06d}"
             self._workers[worker_id] = {
                 "id": worker_id,
                 "name": name or worker_id,
@@ -241,11 +261,6 @@ class LeaseRegistry:
                 "completions": 0,
             }
             return worker_id
-
-    def workers(self) -> List[Dict[str, Any]]:
-        """Registered workers (registration order)."""
-        with self._cond:
-            return [dict(entry) for entry in self._workers.values()]
 
     def acquire(self, worker: str, max_points: int = 1,
                 wait: float = 0.0) -> List[Lease]:
@@ -273,7 +288,7 @@ class LeaseRegistry:
                 if grants or self._closed or remaining <= 0:
                     return grants
                 expiries = [task.lease_expires for task in self._open.values()
-                            if task.state == "leased" and task.lease_expires is not None]
+                            if task.lease_expires is not None]
                 if expiries:
                     remaining = min(remaining, max(0.0, min(expiries) - self._clock()))
                 self._cond.wait(timeout=remaining)
@@ -285,11 +300,9 @@ class LeaseRegistry:
                 break
             if task.state != "pending":
                 continue
-            self._lease_counter += 1
-            lease_id = f"lease-{self._lease_counter:06d}"
+            lease_id = f"lease-{len(self._leases) + 1:06d}"
             self._leases[lease_id] = task
-            task.state = "leased"
-            task.attempts += 1
+            attempt = task.ledger.charge(task.item)
             task.worker = worker
             task.lease_id = lease_id
             task.lease_expires = self._clock() + self.ttl
@@ -297,7 +310,7 @@ class LeaseRegistry:
                 self._workers[worker]["leases_granted"] += 1
             grants.append(Lease(
                 lease_id=lease_id, worker=worker, task=task,
-                attempt=task.attempts, ttl=self.ttl,
+                attempt=attempt, ttl=self.ttl,
             ))
         return grants
 
@@ -332,21 +345,16 @@ class LeaseRegistry:
         terminal point are ignored; no path charges an extra attempt.
         """
         with self._cond:
-            task = self._task_for_lease(lease_id)
+            task = self._leases.get(lease_id)
             if task is None:
                 return None, False
-            if not task.open:
+            if not task.ledger.complete(task.item):
                 return task, False
-            self._finish_locked(task, "completed")
-            task.error = None
+            self._release_locked(task)
             task.cached = bool(cached)
             task.completed_by = worker
-            task.worker = None
-            task.lease_id = None
-            task.lease_expires = None
             if worker in self._workers:
                 self._workers[worker]["completions"] += 1
-            self._cond.notify_all()
             return task, True
 
     def fail(self, lease_id: str, worker: str, error: str) -> Tuple[Optional[PointTask], bool]:
@@ -357,19 +365,11 @@ class LeaseRegistry:
         the reclamation already handled the attempt.
         """
         with self._cond:
-            task = self._task_for_lease(lease_id)
+            task = self._leases.get(lease_id)
             if task is None or not task.open or task.lease_id != lease_id:
                 return task, False
-            task.worker = None
-            task.lease_id = None
-            task.lease_expires = None
-            if task.attempts >= self.max_attempts:
-                self._finish_locked(task, "failed")
-                task.error = error
-            else:
-                task.state = "pending"
-                task.error = error
-            self._cond.notify_all()
+            task.ledger.fail(task.item, error)
+            self._release_locked(task)
             return task, True
 
     # -- expiry --------------------------------------------------------------
@@ -381,42 +381,28 @@ class LeaseRegistry:
 
     def _reclaim_expired_locked(self) -> int:
         now = self._clock()
-        reclaimed = 0
-        for task in list(self._open.values()):
-            if task.state != "leased" or task.lease_expires is None:
-                continue
-            if now < task.lease_expires:
-                continue
+        expired = [task for task in self._open.values()
+                   if task.lease_expires is not None and now >= task.lease_expires]
+        for task in expired:
             error = (f"lease {task.lease_id} expired after {self.ttl:g}s "
                      f"on {task.worker}")
-            task.worker = None
-            task.lease_id = None
-            task.lease_expires = None
-            task.reclaims += 1
+            if task.ledger.last_attempt(task.item):
+                error = f"{error}; attempt budget ({self.max_attempts}) exhausted"
             # The expired grant's attempt is already charged; re-pending
             # does not charge another (the next grant will).
-            if task.attempts >= self.max_attempts:
-                self._finish_locked(task, "failed")
-                task.error = f"{error}; attempt budget ({self.max_attempts}) exhausted"
-            else:
-                task.state = "pending"
-                task.error = error
-            reclaimed += 1
-        if reclaimed:
-            self.reclaimed += reclaimed
-            self._cond.notify_all()
-        return reclaimed
+            task.ledger.fail(task.item, error, timeout=True)
+            self._release_locked(task)
+        self.reclaimed += len(expired)
+        return len(expired)
 
-    def _finish_locked(self, task: PointTask, state: str) -> None:
-        """Move an open task to the terminal ``state``."""
-        task.state = state
-        del self._open[task.task_id]
-
-    def _run_open_locked(self, run_id: str) -> bool:
-        return any(task.run_id == run_id for task in self._open.values())
-
-    def _task_for_lease(self, lease_id: str) -> Optional[PointTask]:
-        return self._leases.get(lease_id)
+    def _release_locked(self, task: PointTask) -> None:
+        """Drop the task's lease after a ledger transition; wake waiters."""
+        task.worker = None
+        task.lease_id = None
+        task.lease_expires = None
+        if not task.open:
+            del self._open[task.task_id]
+        self._cond.notify_all()
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready listing of every task (the ``GET /leases`` body)."""
@@ -436,6 +422,4 @@ __all__ = [
     "Lease",
     "LeaseRegistry",
     "PointTask",
-    "TASK_STATES",
-    "TERMINAL_TASK_STATES",
 ]

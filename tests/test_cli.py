@@ -424,6 +424,18 @@ class TestScenariosCommands:
         assert code == 2
         assert "no scenarios" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text", ['"abc"', "42", "[1]", '{"scenarios": 5}'],
+        ids=["string", "number", "list-of-number", "scenarios-number"],
+    )
+    def test_scenarios_run_rejects_a_document_that_is_not_a_batch(
+            self, text, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["scenarios", "run", str(bad)], out=io.StringIO())
+        assert code == 2
+        assert "expected a scenario object, a list of scenarios" in capsys.readouterr().err
+
     def test_invalid_jobs_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "E8", "--jobs", "0"])
@@ -441,17 +453,25 @@ class TestScenariosCommands:
         assert f"argument {flag}: must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
-        [["experiment", "E8"], ["report"], ["verify"],
-         ["scenarios", "run", "examples/scenarios_demo.json"]],
-        ids=["experiment", "report", "verify", "scenarios-run"],
+        "argv, flag, low",
+        [(["experiment", "E8"], "--max-failures", 0), (["report"], "--max-failures", 0),
+         (["verify"], "--max-failures", 0),
+         (["scenarios", "run", "examples/scenarios_demo.json"], "--max-failures", 0),
+         (["experiment", "E8"], "--seed", 0), (["simulate"], "--seed", 0),
+         (["simulate"], "--trials", 1), (["simulate"], "--workers", 1)],
+        ids=["experiment", "report", "verify", "scenarios-run",
+             "experiment--seed", "simulate--seed", "simulate--trials", "simulate--workers"],
     )
-    def test_negative_max_failures_rejected_by_parser(self, argv, capsys):
-        assert build_parser().parse_args([*argv, "--max-failures", "0"]).max_failures == 0
+    def test_negative_max_failures_rejected_by_parser(self, argv, flag, low, capsys):
+        """Every lower-bounded integer flag: its least value parses, one less
+        exits 2 with a message naming the flag and the value."""
+        args = build_parser().parse_args([*argv, flag, str(low)])
+        assert getattr(args, flag[2:].replace("-", "_")) == low
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args([*argv, "--max-failures", "-1"])
+            build_parser().parse_args([*argv, flag, str(low - 1)])
         assert exit_info.value.code == 2
-        assert "argument --max-failures: must be at least 0, got -1" in capsys.readouterr().err
+        assert f"argument {flag}: must be at least {low}, got {low - 1}" in \
+            capsys.readouterr().err
 
     def test_scenarios_run_json_payloads(self, tmp_path):
         scenario_file = tmp_path / "one.json"

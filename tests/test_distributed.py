@@ -42,6 +42,7 @@ from repro.service import (
     ServiceConfig,
     create_server,
 )
+from repro.service.app import _FleetPipeline
 
 WAIT = 90
 
@@ -615,16 +616,16 @@ class TestLongPollWorkers:
         ))
         # The second run starts publishing late, so the worker's lease
         # requests meet a shut-down service with a run but no open point.
-        publish = service._run_coordinated
+        publish = _FleetPipeline._compute
         started = []
 
-        def publish_second_run_late(record, report):
-            started.append(record.id)
+        def publish_second_run_late(pipeline, *args, **kwargs):
+            started.append(pipeline.record.id)
             if len(started) == 2:
                 time.sleep(0.3)
-            return publish(record, report)
+            return publish(pipeline, *args, **kwargs)
 
-        monkeypatch.setattr(service, "_run_coordinated", publish_second_run_late)
+        monkeypatch.setattr(_FleetPipeline, "_compute", publish_second_run_late)
         server = create_server(service, port=0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
